@@ -12,9 +12,10 @@ and outputs are byte-identical across reruns of the same config.
 Exit status: 0 on success, 2 on config problems (unreadable file, schema or
 semantic violations), 3 on numerical errors raised by the library.
 
-The environment variable STEERCTL_THREADS (an integer) selects how many
-parallel worker processes the multi-start optimizer may use; it defaults
-to 1 and does not affect results.
+The environment variable STEERCTL_THREADS (a positive integer) selects how
+many parallel worker processes the multi-start optimizer may use; it
+defaults to 1 and does not affect results.  Any other value makes the
+commands that optimize exit 2.
 """
 
 from __future__ import annotations

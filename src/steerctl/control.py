@@ -22,10 +22,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
-from .lindblad import PulseSequence, _propagate_with_jacobian_from
+from .lindblad import PulseSequence, _propagate_with_vjp, _slot_generators, expm
 from .steering import ScenarioEvaluator, SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -163,13 +162,17 @@ class SweepPoint:
 
 
 def _worker_count() -> int:
+    """Parallel start workers from STEERCTL_THREADS; unset or empty means 1.
+
+    Raises:
+        ValueError: if the variable is set to anything but a positive integer.
+    """
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -177,46 +180,40 @@ class _Descent:
     x: np.ndarray
     value: float
     iterations: int
-    history: list[float]
 
 
 def _descend(fun_and_grad, x0, bounds, max_iters, grad_tol) -> _Descent:
-    """Bounded L-BFGS-B minimization recording the accepted-iterate values.
+    """Bounded L-BFGS-B minimization from x0 clipped into the box.
 
     grad_tol bounds the max-norm of the projected gradient, so boundary
     points with an outward-pointing gradient terminate correctly.
     """
     lo, hi = bounds
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    seen: dict[bytes, float] = {}
-
-    def fun(c: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = fun_and_grad(c)
-        seen[c.tobytes()] = value
-        return value, grad
-
-    history: list[float] = []
-
-    def record(xk: np.ndarray) -> None:
-        value = seen.get(np.asarray(xk).tobytes())
-        if value is not None:
-            history.append(value)
-
     result = scipy.optimize.minimize(
-        fun,
+        fun_and_grad,
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=[(lo, hi)] * x0.size,
         options={"maxiter": max_iters, "gtol": grad_tol, "ftol": _FTOL},
-        callback=record,
     )
-    return _Descent(
-        np.asarray(result.x, dtype=float),
-        float(result.fun),
-        int(result.nit),
-        history,
-    )
+    return _Descent(np.asarray(result.x, dtype=float), float(result.fun), int(result.nit))
+
+
+def _identity_distance(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> tuple[float, np.ndarray]:
+    """Squared Frobenius distance of the Schrodinger transfer matrix from I, and its gradient.
+
+    With diff = M^T - I the cost is sum(diff * diff) and its derivative in
+    c_k is 2 tr(diff @ dM/dc_k): an adjoint contraction with rows diff and
+    columns I.
+    """
+    channel, vjp = _propagate_with_vjp(l0, k, dt, amplitudes)
+    eye = np.eye(4)
+    diff = channel.T - eye
+    return float(np.sum(diff * diff)), 2.0 * vjp(diff, eye)
 
 
 def _start_rng(seed: int, index: int) -> np.random.Generator:
@@ -240,13 +237,9 @@ def _solve_one_start(
     else:
         l0 = evaluator.drift_generator
         k = evaluator.control_generator
-        eye = np.eye(4)
 
         def fun_and_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-            channel, jac = _propagate_with_jacobian_from(l0, k, dt, c)
-            diff = channel.T - eye
-            grad = np.array([2.0 * float(np.sum(diff * dm.T)) for dm in jac])
-            return float(np.sum(diff * diff)), grad
+            return _identity_distance(l0, k, dt, c)
 
     rng = None if index < 0 else _start_rng(cfg.seed, index)
     x0 = np.zeros(cfg.m) if rng is None else rng.uniform(lo, hi, cfg.m)
@@ -354,9 +347,9 @@ def landscape(
     dt = 0.5 * (T - t_drift)
     c1s = np.asarray(c1_axis, dtype=float)
     c2s = np.asarray(c2_axis, dtype=float)
-    drift_part = scipy.linalg.expm(t_drift * l0)
-    slot1 = scipy.linalg.expm(dt * (l0[None, :, :] + c1s[:, None, None] * k[None, :, :]))
-    slot2 = scipy.linalg.expm(dt * (l0[None, :, :] + c2s[:, None, None] * k[None, :, :]))
+    drift_part = expm(t_drift * l0)
+    slot1 = expm(_slot_generators(l0, k, dt, c1s))
+    slot2 = expm(_slot_generators(l0, k, dt, c2s))
     values = np.empty((c1s.size, c2s.size))
     for i in range(c1s.size):
         head = drift_part @ slot1[i]

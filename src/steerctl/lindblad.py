@@ -5,22 +5,35 @@ The duration-T evolution under piecewise-constant control amplitudes
 picture the latest slot acts last (leftmost); the Heisenberg adjoint used
 here reverses that order, so
 
-    M = exp(dt*L_{c_1}) @ exp(dt*L_{c_2}) @ ... @ exp(dt*L_{c_m}),
+    M = E_1 @ E_2 @ ... @ E_m,    E_k = exp(dt*L_{c_k}),
 
 with L_c = drift_matrix + c * control_matrix acting on effect 4-vectors.
+
+Every matrix exponential goes through one kernel, ``expm``, which takes a
+whole (n, k, k) stack at once: scaling and squaring with the degree-13 Pade
+approximant (Higham 2005), each matrix scaled by its own power of two.  No
+eigendecomposition is used: L_0 + c*K is defective at the amplitude where
+damped rotation is critically damped.
+
 Exact derivatives of M with respect to the amplitudes come from Frechet
-derivatives of the matrix exponential via an augmented block matrix.
+derivatives: the top-right block F_k of exp([[dt*L_k, dt*K], [0, dt*L_k]])
+is the derivative of E_k, so dM/dc_k = P_{k-1} @ F_k @ S_k with prefix
+P_{k-1} = E_1...E_{k-1} and suffix S_k = E_{k+1}...E_m.  A cost gradient
+only needs tr(rows @ dM/dc_k @ cols) for every k, an adjoint
+(vector-Jacobian) product: one sweep of prefixes from the left, whose last
+entry is M itself, and one sweep of suffixes from the right give it for
+all k at once without forming any dM/dc_k.  Each sweep is a log-depth scan
+of stacked products rather than m sequential ones.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .qubit_algebra import PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -184,6 +197,54 @@ def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
     return pauli_transfer_matrix(lambda a: 1j * (hm @ a - a @ hm))
 
 
+#: Numerator coefficients b_j = (26-j)! / ((13-j)! j!) of the [13/13] Pade
+#: approximant of exp, scaled to b_13 = 1; every one is exact in a double.
+_PADE13 = np.array(
+    [math.factorial(26 - j) // (math.factorial(13 - j) * math.factorial(j)) for j in range(14)],
+    dtype=float,
+)
+
+#: Largest 1-norm at which Pade-13 meets double-precision backward error.
+_THETA13 = 5.371920351148152
+
+#: Rows map the powers (I, A^2, A^4, A^6) to the four even-power sums of the
+#: approximant: U = A @ (A^6 @ row0 + row1) and V = A^6 @ row2 + row3.
+_PADE13_SUMS = np.array(
+    [[0.0, *_PADE13[9::2]], _PADE13[1:8:2], [0.0, *_PADE13[8::2]], _PADE13[0:7:2]]
+)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (k, k) matrix or of each matrix in an (n, k, k) stack.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26 (2005) 1179): matrix i is divided by 2**s_i,
+    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))), and its approximant is
+    squared s_i times.  The per-matrix scale makes each result independent
+    of the rest of the stack.
+    """
+    a = np.asarray(a, dtype=float)
+    shape = a.shape
+    k = shape[-1]
+    a = a.reshape(-1, k, k)
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    # A power-of-two scale is exact, so it adds no rounding error.
+    a = a * np.exp2(-s)[:, None, None]
+    powers = np.empty((4,) + a.shape)
+    powers[0] = np.eye(k)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    sums = (_PADE13_SUMS @ powers.reshape(4, -1)).reshape(powers.shape)
+    u = a @ (powers[3] @ sums[0] + sums[1])
+    v = powers[3] @ sums[2] + sums[3]
+    r = np.linalg.solve(v - u, v + u)
+    for step in range(int(s.max(initial=0))):
+        r = np.where((s > step)[:, None, None], r @ r, r)
+    return r.reshape(shape)
+
+
 def _slot_generators(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> np.ndarray:
@@ -191,14 +252,75 @@ def _slot_generators(
     return dt * (l0[None, :, :] + amps[:, None, None] * k[None, :, :])
 
 
-def _propagate_factors(factors: np.ndarray) -> np.ndarray:
-    return reduce(np.matmul, factors)
+def _slot_frechet_exponentials(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot factors E_k and their amplitude derivatives F_k, from one kernel call.
+
+    Both are blocks of the exponential of the augmented (m, 8, 8) stack
+    [[dt*L_k, dt*K], [0, dt*L_k]]: E_k top-left, F_k top-right.
+    """
+    gens = _slot_generators(l0, k, dt, amplitudes)
+    aug = np.zeros((gens.shape[0], 8, 8))
+    aug[:, :4, :4] = gens
+    aug[:, 4:, 4:] = gens
+    aug[:, :4, 4:] = dt * k
+    f = expm(aug)
+    return f[:, :4, :4], f[:, :4, 4:]
+
+
+def _prefixes(factors: np.ndarray) -> np.ndarray:
+    """Products of the first j slot factors, j = 0..m: out[0] = I, out[m] = M.
+
+    A log-depth scan: after the pass with stride d each entry holds the
+    product of up to 2d consecutive factors, so m sequential 4x4 products
+    become ceil(log2(m)) stacked ones.
+    """
+    m = factors.shape[0]
+    out = np.empty((m + 1, 4, 4))
+    out[0] = np.eye(4)
+    out[1:] = factors
+    scan = out[1:]
+    stride = 1
+    while stride < m:
+        scan[stride:] = scan[:-stride] @ scan[stride:]
+        stride *= 2
+    return out
+
+
+def _suffixes(factors: np.ndarray) -> np.ndarray:
+    """Products of the slot factors after slot j, j = 0..m-1 (the last is I).
+
+    Their transposes are the prefixes of the reversed, transposed factors.
+    """
+    return _prefixes(factors[:0:-1].transpose(0, 2, 1))[::-1].transpose(0, 2, 1)
 
 
 def _propagate_from(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> TransferMatrix:
-    return _propagate_factors(scipy.linalg.expm(_slot_generators(l0, k, dt, amplitudes)))
+    return _prefixes(expm(_slot_generators(l0, k, dt, amplitudes)))[-1]
+
+
+def _propagate_with_vjp(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> tuple[TransferMatrix, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Transfer matrix M and its vector-Jacobian product in the amplitudes.
+
+    vjp(rows, cols)[k] = tr(rows @ dM/dc_k @ cols) for rows of shape (r, 4)
+    and cols of shape (4, r), computed as tr(prefix_k @ F_k @ suffix_k @
+    cols @ rows) from the prefixes that made M and one suffix scan; no
+    dM/dc_k is formed.
+    """
+    factors, frechet = _slot_frechet_exponentials(l0, k, dt, amplitudes)
+    prefixes = _prefixes(factors)
+
+    def vjp(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        head = prefixes[:-1] @ frechet
+        tail = _suffixes(factors) @ (cols @ rows)
+        return np.einsum("kab,kba->k", head, tail)
+
+    return prefixes[-1], vjp
 
 
 def propagate(
@@ -215,10 +337,12 @@ def propagate(
 def propagate_schrodinger(
     g: DriftGenerator, h: ControlHamiltonian, p: PulseSequence
 ) -> TransferMatrix:
-    """Schrodinger transfer matrix: transposed slot generators, last slot leftmost."""
-    gens = _slot_generators(drift_matrix(g), control_matrix(h), p.dt, p.amplitudes)
-    factors = scipy.linalg.expm(np.transpose(gens, (0, 2, 1)))
-    return _propagate_factors(factors[::-1])
+    """Schrodinger transfer matrix, the transpose of the Heisenberg one.
+
+    exp(G^T) = exp(G)^T slot by slot, and transposing the product reverses
+    the slot order, so the last slot comes out leftmost.
+    """
+    return propagate(g, h, p).T
 
 
 def expm_frechet(a: TransferMatrix, e: TransferMatrix) -> tuple[TransferMatrix, TransferMatrix]:
@@ -234,56 +358,30 @@ def expm_frechet(a: TransferMatrix, e: TransferMatrix) -> tuple[TransferMatrix, 
     block[:n, :n] = a
     block[:n, n:] = e
     block[n:, n:] = a
-    f = scipy.linalg.expm(block)
+    f = expm(block)
     return f[:n, :n], f[:n, n:]
-
-
-def _propagate_with_jacobian_from(
-    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
-) -> tuple[TransferMatrix, list[TransferMatrix]]:
-    """Transfer matrix and its exact derivative per amplitude, shared work.
-
-    All m augmented 8x8 exponentials are evaluated in one batched call; the
-    per-slot derivative of the product is prefix @ frechet_block @ suffix.
-    """
-    gens = _slot_generators(l0, k, dt, amplitudes)
-    m = gens.shape[0]
-    aug = np.zeros((m, 8, 8))
-    aug[:, :4, :4] = gens
-    aug[:, 4:, 4:] = gens
-    aug[:, :4, 4:] = dt * k
-    f = scipy.linalg.expm(aug)
-    factors = f[:, :4, :4]
-    frechet = f[:, :4, 4:]
-    left = np.empty((m, 4, 4))
-    left[0] = np.eye(4)
-    for j in range(1, m):
-        left[j] = left[j - 1] @ factors[j - 1]
-    right = np.empty((m, 4, 4))
-    right[m - 1] = np.eye(4)
-    for j in range(m - 2, -1, -1):
-        right[j] = factors[j + 1] @ right[j + 1]
-    total = left[m - 1] @ factors[m - 1]
-    jac = [left[j] @ frechet[j] @ right[j] for j in range(m)]
-    return total, jac
 
 
 def propagator_jacobian(
     g: DriftGenerator, h: ControlHamiltonian, p: PulseSequence
 ) -> list[TransferMatrix]:
     """Exact derivatives dM/dc_k of the Heisenberg transfer matrix, k = 1..m."""
-    return _propagate_with_jacobian_from(
-        drift_matrix(g), control_matrix(h), p.dt, p.amplitudes
-    )[1]
+    return propagate_with_jacobian(g, h, p)[1]
 
 
 def propagate_with_jacobian(
     g: DriftGenerator, h: ControlHamiltonian, p: PulseSequence
 ) -> tuple[TransferMatrix, list[TransferMatrix]]:
-    """propagate and propagator_jacobian in one pass over the slot exponentials."""
-    return _propagate_with_jacobian_from(
+    """propagate and every dM/dc_k = P_k @ F_k @ S_k from one pass over the slots.
+
+    The transfer matrix is the last prefix, bit for bit the channel that
+    ScenarioEvaluator.pulse_value_and_gradient evaluates.
+    """
+    factors, frechet = _slot_frechet_exponentials(
         drift_matrix(g), control_matrix(h), p.dt, p.amplitudes
     )
+    prefixes = _prefixes(factors)
+    return prefixes[-1], list(prefixes[:-1] @ frechet @ _suffixes(factors))
 
 
 def is_unital(m: TransferMatrix, tol: float = 1e-10) -> bool:

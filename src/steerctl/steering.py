@@ -37,7 +37,7 @@ from .lindblad import (
     PulseSequence,
     TransferMatrix,
     _propagate_from,
-    _propagate_with_jacobian_from,
+    _propagate_with_vjp,
     control_matrix,
     drift_matrix,
 )
@@ -196,6 +196,7 @@ class ScenarioEvaluator:
         self.control_generator = control_matrix(scenario.control)
         self._x1 = scenario.x1.as_array()
         self._x2 = scenario.x2.as_array()
+        self._cols = np.stack([self._x1, self._x2], axis=1)
         self._b = scenario.b
 
     def channel_value(self, channel: TransferMatrix) -> float:
@@ -221,8 +222,7 @@ class ScenarioEvaluator:
         non-differentiable points (sharp transported effects, which only
         occur under noiseless dynamics where the cost is locally constant).
         """
-        m = len(amplitudes)
-        channel, jac = _propagate_with_jacobian_from(
+        channel, vjp = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes
         )
         y1 = self.resource @ (channel @ self._x1)
@@ -231,17 +231,13 @@ class ScenarioEvaluator:
         _check_transported_effect(y2)
         value = compat._robustness_tuples(tuple(y1), tuple(y2), self._b)
         if not 0.0 < value < 0.5:
-            return value, np.zeros(m)
+            return value, np.zeros(len(amplitudes))
         try:
             g1, g2 = compat._gradient_at_root(y1, y2, self._b, value)
         except (NotDifferentiableError, DegenerateRootError):
-            return value, np.zeros(m)
-        a1 = self.resource.T @ g1
-        a2 = self.resource.T @ g2
-        grad = np.array(
-            [float(a1 @ (dm @ self._x1) + a2 @ (dm @ self._x2)) for dm in jac]
-        )
-        return value, grad
+            return value, np.zeros(len(amplitudes))
+        # df/dc_k = sum_i (R^T g_i) @ dM/dc_k @ x_i.
+        return value, vjp(np.stack([g1, g2]) @ self.resource, self._cols)
 
 
 def steering_robustness(s: SteeringScenario, p: PulseSequence) -> float:

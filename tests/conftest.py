@@ -9,12 +9,14 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from steerctl import (
     BipartiteState,
     ControlHamiltonian,
     DriftGenerator,
     FourVector,
+    PulseSequence,
     SteeringScenario,
     c_functional,
     pauli_transfer_matrix,
@@ -159,3 +161,45 @@ def choi_matrix(transfer_schrodinger: np.ndarray) -> np.ndarray:
             unit[a, b] = 1.0
             choi += np.kron(unit, apply(unit))
     return choi
+
+
+# --- Hypothesis strategies for property tests --------------------------------
+
+#: Hypothesis settings for property tests: a fixed example set per test, so
+#: runs repeat exactly, and no example database written to disk.
+PROPERTY_SETTINGS = dict(max_examples=100, deadline=None, derandomize=True, database=None)
+
+#: Built-in drifts at a random rate.
+drifts = st.builds(
+    lambda kind, gamma: kind(gamma),
+    st.sampled_from([DriftGenerator.amplitude_damping, DriftGenerator.dephasing]),
+    st.floats(0.01, 0.2),
+)
+
+#: Control Hamiltonians with a random field.
+controls = st.builds(
+    lambda h: ControlHamiltonian(tuple(h)),
+    st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+)
+
+#: Pulses of 1 to 20 slots with amplitudes anywhere in the [-15, 15] box.
+pulses = st.builds(
+    lambda dt, amps: PulseSequence(dt, tuple(amps)),
+    st.floats(0.02, 0.1),
+    st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=20),
+)
+
+#: Effects (x0, r * n) with the unit axis n at polar angles (theta, phi) and
+#: r a fraction of the largest valid length min(x0, 2 - x0).
+effects = st.builds(
+    lambda x0, theta, phi, fraction: FourVector.from_array(
+        np.array([x0, 0.0, 0.0, 0.0])
+        + fraction * min(x0, 2.0 - x0) * np.array(
+            [0.0, np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        )
+    ),
+    st.floats(0.8, 1.2),
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.9, 0.999),
+)

@@ -116,6 +116,19 @@ def test_optimize_command_and_seed_override(tmp_path):
     assert third["start_values"] != first["start_values"]
 
 
+def test_invalid_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STEERCTL_THREADS", "abc")
+    config = write_config(
+        tmp_path,
+        {
+            "scenario": AD_SCENARIO,
+            "optimize": {"T": 1.0, "m": 4, "n_starts": 2, "seed": 0, "max_iters": 40},
+        },
+    )
+    assert run_cli("optimize", config, tmp_path / "r") == 2
+    assert "STEERCTL_THREADS" in capsys.readouterr().err
+
+
 def test_naive_command(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import SHARP_PAIR_VALUE, xz_scenario
+from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE, controls, drifts, pulses, xz_scenario
 from steerctl import (
     OptimizeConfig,
     PulseSequence,
     ScenarioEvaluator,
+    control_matrix,
+    drift_matrix,
     landscape,
     naive_optimize,
     optimize,
+    propagate_with_jacobian,
     steering_robustness,
     time_sweep,
 )
+from steerctl import control
 
 SMALL = OptimizeConfig(T=1.0, m=6, n_starts=4, seed=3, max_iters=60)
 
@@ -77,6 +82,28 @@ def test_parallel_starts_match_serial(monkeypatch):
     assert parallel.best_value == serial.best_value
     assert parallel.best_pulse.amplitudes == serial.best_pulse.amplitudes
     assert parallel.start_values == serial.start_values
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_invalid_thread_count_fails_loud(monkeypatch, raw):
+    monkeypatch.setenv("STEERCTL_THREADS", raw)
+    with pytest.raises(ValueError, match=f"STEERCTL_THREADS.*'{raw}'"):
+        optimize(xz_scenario("ad"), SMALL)
+
+
+@pytest.mark.parametrize("raw", [None, "1"])
+def test_unset_or_single_thread_count_runs_serially(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv("STEERCTL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STEERCTL_THREADS", raw)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial run started a process pool")
+
+    monkeypatch.setattr(control, "ProcessPoolExecutor", no_pool)
+    res = optimize(xz_scenario("ad"), SMALL)
+    assert len(res.start_values) == SMALL.n_starts + 1
 
 
 def test_bounds_are_respected():
@@ -191,3 +218,18 @@ def test_time_sweep_rows():
         assert r.optimized >= r.uncontrolled - 1e-12
         assert r.optimized >= r.naive - 1e-12
         assert r.naive >= 0.0
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(drift=drifts, ctrl=controls, pulse=pulses)
+def test_naive_cost_gradient_is_the_explicit_jacobian_contraction(drift, ctrl, pulse):
+    cost, grad = control._identity_distance(
+        drift_matrix(drift), control_matrix(ctrl), pulse.dt, pulse.amplitudes
+    )
+    total, jac = propagate_with_jacobian(drift, ctrl, pulse)
+    diff = total.T - np.eye(4)
+    assert cost == np.sum(diff * diff)
+    explicit = np.array([2.0 * np.sum(diff * dm.T) for dm in jac])
+    # tolerance relative to the size of the summed terms, as for the steering cost
+    size = np.array([2.0 * np.sum(abs(diff) * abs(dm.T)) for dm in jac])
+    assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)

@@ -12,6 +12,7 @@ from steerctl import (
     PulseSequence,
     control_matrix,
     drift_matrix,
+    expm,
     expm_frechet,
     is_unital,
     pauli_transfer_matrix,
@@ -180,6 +181,86 @@ def test_is_unital_detects_violations():
     assert is_unital(np.eye(4))
 
 
+#: Kernel parity with scipy.linalg.expm on the program's slot stacks.
+SLOT_ATOL = 1e-13
+
+#: Slot length of a T = 2.8, m = 20 pulse, the benchmark's optimize setting.
+SLOT_DT = 0.14
+
+DRIFTS = {
+    "ad": DriftGenerator.amplitude_damping(0.1),
+    "dp": DriftGenerator.dephasing(0.1),
+}
+
+
+def augmented_slots(gens, dt, k):
+    """The (m, 8, 8) stack [[G, dt*K], [0, G]] whose exponential carries dE/dc."""
+    aug = np.zeros((len(gens), 8, 8))
+    aug[:, :4, :4] = gens
+    aug[:, 4:, 4:] = gens
+    aug[:, :4, 4:] = dt * k
+    return aug
+
+
+def slot_stack(drift, amplitudes, dt, augmented, h=(0.0, 1.0, 1.0)):
+    l0 = drift_matrix(drift)
+    k = control_matrix(ControlHamiltonian(h))
+    gens = dt * (l0[None] + np.asarray(amplitudes, dtype=float)[:, None, None] * k[None])
+    return augmented_slots(gens, dt, k) if augmented else gens
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["4x4", "8x8"])
+@pytest.mark.parametrize("m", [1, 20])
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_expm_matches_scipy_on_slot_stacks(drift, m, augmented):
+    rng = np.random.default_rng(40 + m)
+    # both box edges, then uniform draws inside the box
+    amplitudes = np.concatenate([[15.0, -15.0], rng.uniform(-15.0, 15.0, 40)])
+    for start in range(0, amplitudes.size, m):
+        stack = slot_stack(DRIFTS[drift], amplitudes[start:start + m], SLOT_DT, augmented)
+        got = expm(stack)
+        assert got.shape == stack.shape
+        assert np.max(np.abs(got - scipy.linalg.expm(stack))) < SLOT_ATOL
+
+
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_expm_squaring_matches_the_slot_product(drift):
+    # One slot spanning the whole horizon at the box edge has 1-norm ~170, so
+    # the kernel squares five times; the semigroup property ties it to the
+    # product of twenty slot-length exponentials checked above.
+    for amplitude in (15.0, -15.0):
+        for augmented in (False, True):
+            whole = expm(slot_stack(DRIFTS[drift], [amplitude], 20 * SLOT_DT, augmented))[0]
+            part = expm(slot_stack(DRIFTS[drift], [amplitude], SLOT_DT, augmented))[0]
+            assert np.max(np.abs(whole - np.linalg.matrix_power(part, 20))) < SLOT_ATOL
+
+
+def test_expm_at_the_defective_critical_amplitude():
+    # Amplitude damping rotated about sigma_x: the y-z block of L0 + c*K has
+    # eigenvalues -3g/2 +- sqrt(g^2/4 - 4c^2), which coalesce into a
+    # defective pair at the critical amplitude.  Locate it by bisection on
+    # whether the spectrum is real.
+    drift = DriftGenerator.amplitude_damping(0.3)
+    l0 = drift_matrix(drift)
+    k = control_matrix(ControlHamiltonian((1.0, 0.0, 0.0)))
+
+    def oscillates(c):
+        return np.max(np.abs(np.linalg.eigvals(l0 + c * k).imag)) > 0.0
+
+    lo, hi = 0.0, 1.0
+    assert not oscillates(lo) and oscillates(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if oscillates(mid) else (mid, hi)
+    critical = hi
+    _, vectors = np.linalg.eig(l0 + critical * k)
+    assert np.linalg.cond(vectors) > 1e6  # the eigenvectors nearly coincide
+    for dt in (SLOT_DT, 20 * SLOT_DT):
+        stack = slot_stack(drift, [critical, -critical], dt, False, h=(1.0, 0.0, 0.0))
+        for a in (stack, augmented_slots(stack, dt, k)):
+            assert np.max(np.abs(expm(a) - scipy.linalg.expm(a))) < SLOT_ATOL
+
+
 def test_expm_frechet_against_scipy():
     rng = np.random.default_rng(34)
     for _ in range(20):
@@ -189,6 +270,14 @@ def test_expm_frechet_against_scipy():
         ref_val, ref_deriv = scipy.linalg.expm_frechet(a, e)
         assert np.allclose(val, ref_val, atol=1e-12)
         assert np.allclose(deriv, ref_deriv, atol=1e-11)
+    # real slot generators at the box edge, differentiated along dt*K
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    for drift in DRIFTS.values():
+        for a in slot_stack(drift, [15.0, -15.0, 0.0, 7.3], SLOT_DT, False):
+            val, deriv = expm_frechet(a, SLOT_DT * k)
+            ref_val, ref_deriv = scipy.linalg.expm_frechet(a, SLOT_DT * k)
+            assert np.max(np.abs(val - ref_val)) < SLOT_ATOL
+            assert np.max(np.abs(deriv - ref_deriv)) < SLOT_ATOL
 
 
 def test_expm_frechet_against_finite_differences():

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    PROPERTY_SETTINGS,
     SHARP_PAIR_VALUE,
     SQRT2,
     central_difference,
+    controls,
     dp_decay_value,
+    drifts,
+    effects,
+    pulses,
     xz_scenario,
     random_effect,
     random_state,
@@ -17,9 +24,11 @@ from steerctl import (
     Assemblage,
     BipartiteState,
     ControlHamiltonian,
+    DegenerateRootError,
     DriftGenerator,
     FourVector,
     InvalidEffectError,
+    NotDifferentiableError,
     PulseSequence,
     ScenarioEvaluator,
     SteeringScenario,
@@ -29,7 +38,11 @@ from steerctl import (
     complement,
     effect_to_matrix,
     is_unital,
+    propagate,
+    propagate_with_jacobian,
     resource_map,
+    robustness,
+    robustness_gradient,
     sharp_effect,
     steering_gradient,
     steering_robustness,
@@ -230,3 +243,43 @@ def test_gradient_on_random_full_rank_states():
         evaluator = ScenarioEvaluator(s)
         numeric = central_difference(lambda c: evaluator.pulse_value(T / m, tuple(c)), amps)
         assert relative_gradient_error(np.asarray(grad), numeric) < 1e-5
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    x1=effects,
+    x2=effects,
+    drift=drifts,
+    control=controls,
+    pulse=pulses,
+    b=st.floats(-0.7, 0.7),
+)
+def test_adjoint_gradient_is_the_explicit_jacobian_contraction(x1, x2, drift, control, pulse, b):
+    s = SteeringScenario(BipartiteState.max_entangled(), x1, x2, drift, control, b)
+    value, grad = steering_value_and_gradient(s, pulse)
+    # the value is the robustness of the effects the public propagators
+    # transport, bit for bit
+    r = resource_map(s.rho)
+    total, jac = propagate_with_jacobian(drift, control, pulse)
+    y1 = r @ (total @ x1.as_array())
+    y2 = r @ (total @ x2.as_array())
+    assert robustness(FourVector.from_array(y1), FourVector.from_array(y2), b) == value
+    plain = propagate(drift, control, pulse)
+    assert steering_robustness(s, pulse) == robustness(
+        FourVector.from_array(r @ (plain @ x1.as_array())),
+        FourVector.from_array(r @ (plain @ x2.as_array())),
+        b,
+    )
+    try:
+        g1, g2 = robustness_gradient(FourVector.from_array(y1), FourVector.from_array(y2), b)
+    except (NotDifferentiableError, DegenerateRootError):
+        assert not np.any(grad)  # plateau or non-differentiable point
+        return
+    terms = [(r.T @ g1.as_array(), x1.as_array()), (r.T @ g2.as_array(), x2.as_array())]
+    explicit = np.array([sum(a @ dm @ x for a, x in terms) for dm in jac])
+    # Rounding error in a sum is relative to the size of its terms, so the
+    # tolerance scales with |a|^T |dM| |x|.  That is the size of |explicit|
+    # unless the terms cancel, as they do when the dynamics commute with a
+    # symmetry of the pair and the gradient is zero.
+    size = np.array([sum(abs(a) @ abs(dm) @ abs(x) for a, x in terms) for dm in jac])
+    assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)
