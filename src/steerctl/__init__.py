@@ -48,7 +48,6 @@ from .lindblad import (
     propagate,
     propagate_schrodinger,
     propagate_with_jacobian,
-    propagator_jacobian,
 )
 from .qubit_algebra import (
     BipartiteState,
@@ -68,7 +67,6 @@ from .steering import (
     assemblage,
     bob_marginal,
     resource_map,
-    steering_gradient,
     steering_robustness,
     steering_value_and_gradient,
 )
@@ -120,12 +118,10 @@ __all__ = [
     "propagate",
     "propagate_schrodinger",
     "propagate_with_jacobian",
-    "propagator_jacobian",
     "resource_map",
     "robustness",
     "robustness_gradient",
     "sharp_effect",
-    "steering_gradient",
     "steering_robustness",
     "steering_value_and_gradient",
     "time_sweep",

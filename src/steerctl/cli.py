@@ -10,7 +10,8 @@ headline number to stdout.  Floats in CSV files carry 17 significant digits
 and outputs are byte-identical across reruns of the same config.
 
 Exit status: 0 on success, 2 on config problems (unreadable file, schema or
-semantic violations), 3 on numerical errors raised by the library.
+semantic violations), 3 on numerical errors raised by the library.  Any
+other exception is a bug and propagates.
 
 The environment variable STEERCTL_THREADS (a positive integer) selects how
 many parallel worker processes the multi-start optimizer may use; it
@@ -583,7 +584,7 @@ def run(
     except SteerctlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -134,12 +134,16 @@ def is_jointly_measurable(x1: FourVector, x2: FourVector) -> bool:
     return c_functional(x1, x2) >= -COMPAT_TOL
 
 
+def _noise_map(x: np.ndarray, lam: float, p: float) -> np.ndarray:
+    """N_{lam,b} on an effect 4-vector: scale by 1 - lam, then shift x0 by 2*lam*p."""
+    y = (1.0 - lam) * np.asarray(x, dtype=float)
+    y[0] += 2.0 * lam * p
+    return y
+
+
 def apply_noise(x: FourVector, n: NoiseParams) -> FourVector:
     """Mix an effect with classical noise: shrink the Bloch part, shift x0."""
-    u = 1.0 - n.lam
-    return FourVector(
-        u * x.x0 + 2.0 * n.lam * n.p, u * x.x1, u * x.x2, u * x.x3
-    )
+    return FourVector.from_array(_noise_map(x.as_array(), n.lam, n.p))
 
 
 def _smallest_root(
@@ -199,10 +203,8 @@ def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:
     return _robustness_tuples(x1.as_tuple(), x2.as_tuple(), b)
 
 
-def _c_value_and_grads(
-    y1: np.ndarray, y2: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """C and its total derivatives with respect to each effect 4-vector.
+def _c_gradients(y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total derivatives of C with respect to each effect 4-vector.
 
     The totals include the chain through each complement (d y_perp / d y is
     minus the identity).  Requires all four Minkowski norms positive.
@@ -221,13 +223,12 @@ def _c_value_and_grads(
     m12 = float(e1 @ y2)
     m1p2p = float(e1p @ y2p)
     s = math.sqrt(n1 * n1p * n2 * n2p)
-    c = s - m11p * m22p + m12p * m1p2 + m12 * m1p2p
     # Partials of C with the four slots (y1, y1p, y2, y2p) independent.
     d_y1 = (n1p * n2 * n2p / s) * e1 - m22p * e1p + m1p2 * e2p + m1p2p * e2
     d_y1p = (n1 * n2 * n2p / s) * e1p - m22p * e1 + m12p * e2 + m12 * e2p
     d_y2 = (n1 * n1p * n2p / s) * e2 - m11p * e2p + m12p * e1p + m1p2p * e1
     d_y2p = (n1 * n1p * n2 / s) * e2p - m11p * e2 + m1p2 * e1 + m12 * e1p
-    return c, d_y1 - d_y1p, d_y2 - d_y2p
+    return d_y1 - d_y1p, d_y2 - d_y2p
 
 
 def _gradient_at_root(
@@ -240,10 +241,8 @@ def _gradient_at_root(
         DegenerateRootError: if C is stationary in lam at the root.
     """
     p = 0.5 * (1.0 + b)
-    u = 1.0 - lam
-    shift = 2.0 * lam * p
-    y1 = np.array([u * x1[0] + shift, u * x1[1], u * x1[2], u * x1[3]])
-    y2 = np.array([u * x2[0] + shift, u * x2[1], u * x2[2], u * x2[3]])
+    y1 = _noise_map(x1, lam, p)
+    y2 = _noise_map(x2, lam, p)
     for y in (y1, y2):
         n = y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
         t = 2.0 - y[0]
@@ -252,7 +251,7 @@ def _gradient_at_root(
             raise NotDifferentiableError(
                 "a noisy effect at the root is sharp; the square root in C is not differentiable"
             )
-    _, g1, g2 = _c_value_and_grads(y1, y2)
+    g1, g2 = _c_gradients(y1, y2)
     # dN/dlam at fixed x, for each input.
     u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
     u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
@@ -261,7 +260,7 @@ def _gradient_at_root(
         raise DegenerateRootError(
             f"dC/dlam = {dc_dlam:.3e} at the root; implicit differentiation is ill-posed"
         )
-    scale = -u / dc_dlam
+    scale = -(1.0 - lam) / dc_dlam
     return scale * g1, scale * g2
 
 

@@ -366,19 +366,17 @@ def time_sweep(
     cfg.T is ignored; each grid point replaces it.  The uncontrolled column
     uses the zero pulse.
     """
-    evaluator = ScenarioEvaluator(s)
     rows = []
     for t in t_grid:
         cfg_t = replace(cfg, T=float(t))
-        uncontrolled = evaluator.pulse_value(cfg_t.dt, (0.0,) * cfg_t.m)
         naive = naive_optimize(s, cfg_t).best_value
-        optimized = optimize(s, cfg_t).best_value
+        optimized = optimize(s, cfg_t)
         rows.append(
             SweepPoint(
                 T=float(t),
-                uncontrolled=float(uncontrolled),
+                uncontrolled=optimized.baseline_value,
                 naive=float(naive),
-                optimized=float(optimized),
+                optimized=optimized.best_value,
             )
         )
     return rows

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qubit_algebra import PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qubit_algebra import PAULI_BASIS
 
 #: 4x4 real matrices in the (Id, sigma_x, sigma_y, sigma_z) basis.
 TransferMatrix = np.ndarray
@@ -112,9 +112,6 @@ class ControlHamiltonian:
             raise ValueError(f"h must be a finite 3-vector, got {self.h!r}")
         object.__setattr__(self, "h", h)
 
-    def as_matrix(self) -> np.ndarray:
-        return self.h[0] * SIGMA_X + self.h[1] * SIGMA_Y + self.h[2] * SIGMA_Z
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -190,11 +187,15 @@ def drift_matrix(g: DriftGenerator) -> TransferMatrix:
 def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
     """Pauli-basis matrix of A -> i[H, A], the Heisenberg control generator.
 
-    Generates rotations of the Bloch part: zero first row and column,
-    antisymmetric 3x3 block.
+    Generates rotations of the Bloch part: zero first row and column, and
+    since i[sigma_k, sigma_j] = -2 eps_kjl sigma_l the 3x3 block is -2 times
+    the cross-product matrix of h.  Negating a zero component gives -0.0;
+    adding 0.0 makes every zero entry +0.0.
     """
-    hm = h.as_matrix()
-    return pauli_transfer_matrix(lambda a: 1j * (hm @ a - a @ hm))
+    x, y, z = (2.0 * v for v in h.h)
+    out = np.zeros((4, 4))
+    out[1:, 1:] = [[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]]
+    return out + 0.0
 
 
 #: Numerator coefficients b_j = (26-j)! / ((13-j)! j!) of the [13/13] Pade
@@ -245,6 +246,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
+def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(A), directional derivative of exp at A along E), for (..., n, n) stacks.
+
+    Both come out of one exponential of the block matrix [[A, E], [0, A]]
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009) 1639): the
+    top-left block is exp(A) and the top-right block is the derivative.  E
+    broadcasts against A, so one direction can serve a whole stack.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    block = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    block[..., :n, :n] = a
+    block[..., :n, n:] = e
+    block[..., n:, n:] = a
+    f = expm(block)
+    return f[..., :n, :n], f[..., :n, n:]
+
+
 def _slot_generators(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> np.ndarray:
@@ -260,13 +279,7 @@ def _slot_frechet_exponentials(
     Both are blocks of the exponential of the augmented (m, 8, 8) stack
     [[dt*L_k, dt*K], [0, dt*L_k]]: E_k top-left, F_k top-right.
     """
-    gens = _slot_generators(l0, k, dt, amplitudes)
-    aug = np.zeros((gens.shape[0], 8, 8))
-    aug[:, :4, :4] = gens
-    aug[:, 4:, 4:] = gens
-    aug[:, :4, 4:] = dt * k
-    f = expm(aug)
-    return f[:, :4, :4], f[:, :4, 4:]
+    return expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
 
 
 def _prefixes(factors: np.ndarray) -> np.ndarray:
@@ -343,30 +356,6 @@ def propagate_schrodinger(
     the slot order, so the last slot comes out leftmost.
     """
     return propagate(g, h, p).T
-
-
-def expm_frechet(a: TransferMatrix, e: TransferMatrix) -> tuple[TransferMatrix, TransferMatrix]:
-    """(exp(A), directional derivative of exp at A along E).
-
-    Both come out of one exponential of the block matrix [[A, E], [0, A]]:
-    the top-left block is exp(A) and the top-right block is the derivative.
-    """
-    a = np.asarray(a, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a
-    block[:n, n:] = e
-    block[n:, n:] = a
-    f = expm(block)
-    return f[:n, :n], f[:n, n:]
-
-
-def propagator_jacobian(
-    g: DriftGenerator, h: ControlHamiltonian, p: PulseSequence
-) -> list[TransferMatrix]:
-    """Exact derivatives dM/dc_k of the Heisenberg transfer matrix, k = 1..m."""
-    return propagate_with_jacobian(g, h, p)[1]
 
 
 def propagate_with_jacobian(

@@ -40,9 +40,9 @@ from .lindblad import (
     _propagate_with_vjp,
     control_matrix,
     drift_matrix,
+    pauli_transfer_matrix,
 )
 from .qubit_algebra import (
-    PAULI_BASIS,
     BipartiteState,
     FourVector,
     HermitianMatrix2,
@@ -134,12 +134,7 @@ def resource_map(rho: BipartiteState) -> TransferMatrix:
             "rank-deficient marginals are not supported"
         )
     inv_sqrt = (eigvecs / np.sqrt(np.clip(eigvals, _RANK_TOL, None))) @ eigvecs.conj().T
-    out = np.empty((4, 4))
-    for j, pj in enumerate(PAULI_BASIS):
-        image = inv_sqrt @ _trace_out_alice(rho, pj.T) @ inv_sqrt
-        for i, pi in enumerate(PAULI_BASIS):
-            out[i, j] = 0.5 * np.trace(pi @ image).real
-    return out
+    return pauli_transfer_matrix(lambda a: inv_sqrt @ _trace_out_alice(rho, a.T) @ inv_sqrt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +167,6 @@ class SteeringScenario:
             )
 
 
-def _check_transported_effect(y: np.ndarray) -> None:
-    # CPTP dynamics and the resource map preserve validity; anything else
-    # indicates a broken transfer matrix.
-    if not validate_effect(FourVector.from_array(y)):
-        raise InternalConsistencyError(
-            f"transported effect {y} is invalid; a transfer matrix is not positive"
-        )
-
-
 class ScenarioEvaluator:
     """Precomputed pieces of one scenario, for repeated cost evaluations.
 
@@ -199,13 +185,24 @@ class ScenarioEvaluator:
         self._cols = np.stack([self._x1, self._x2], axis=1)
         self._b = scenario.b
 
-    def channel_value(self, channel: TransferMatrix) -> float:
-        """Robustness of the effects transported by a Heisenberg channel matrix."""
+    def _transported_value(
+        self, channel: TransferMatrix
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Effects y_i = R @ channel @ x_i, checked, and their robustness."""
         y1 = self.resource @ (channel @ self._x1)
         y2 = self.resource @ (channel @ self._x2)
-        _check_transported_effect(y1)
-        _check_transported_effect(y2)
-        return compat._robustness_tuples(tuple(y1), tuple(y2), self._b)
+        for y in (y1, y2):
+            # CPTP dynamics and the resource map preserve validity; anything
+            # else indicates a broken transfer matrix.
+            if not validate_effect(FourVector.from_array(y)):
+                raise InternalConsistencyError(
+                    f"transported effect {y} is invalid; a transfer matrix is not positive"
+                )
+        return y1, y2, compat._robustness_tuples(tuple(y1), tuple(y2), self._b)
+
+    def channel_value(self, channel: TransferMatrix) -> float:
+        """Robustness of the effects transported by a Heisenberg channel matrix."""
+        return self._transported_value(channel)[2]
 
     def pulse_value(self, dt: float, amplitudes: Sequence[float]) -> float:
         channel = _propagate_from(
@@ -225,11 +222,7 @@ class ScenarioEvaluator:
         channel, vjp = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes
         )
-        y1 = self.resource @ (channel @ self._x1)
-        y2 = self.resource @ (channel @ self._x2)
-        _check_transported_effect(y1)
-        _check_transported_effect(y2)
-        value = compat._robustness_tuples(tuple(y1), tuple(y2), self._b)
+        y1, y2, value = self._transported_value(channel)
         if not 0.0 < value < 0.5:
             return value, np.zeros(len(amplitudes))
         try:
@@ -261,9 +254,3 @@ def steering_value_and_gradient(
     zero by convention.
     """
     return ScenarioEvaluator(s).pulse_value_and_gradient(p.dt, p.amplitudes)
-
-
-def steering_gradient(s: SteeringScenario, p: PulseSequence) -> list[float]:
-    """Exact gradient df/dc_k; the zero vector on the non-steerable plateau."""
-    _, grad = steering_value_and_gradient(s, p)
-    return [float(g) for g in grad]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SHARP_PAIR_VALUE
+from steerctl import cli
 from steerctl.cli import main
 
 XZ_MEASUREMENTS = {
@@ -196,6 +197,18 @@ def test_sweep_command_zero_pulse_only(tmp_path):
     assert len(lines) == 4
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values[0] > values[1] > values[2]
+
+
+def test_unexpected_errors_propagate(tmp_path, monkeypatch):
+    # only ValueError means a bad config; any other exception is a bug and
+    # must not be reported as exit 2
+    def broken(rc):
+        raise TypeError("bug in a command handler")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    config = write_config(tmp_path, {"scenario": {"measurements": XZ_MEASUREMENTS}})
+    with pytest.raises(TypeError, match="bug in a command handler"):
+        cli.run(config, command="check", out=str(tmp_path / "r"))
 
 
 def test_command_can_come_from_the_config(tmp_path):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    PROPERTY_SETTINGS,
     SHARP_PAIR_VALUE,
     SQRT2,
     central_difference,
+    effects,
     random_effect,
     random_incompatible_pair,
     relative_gradient_error,
@@ -144,6 +148,20 @@ def test_robustness_root_actually_crosses_zero():
         assert abs(noisy(lam)) < 1e-9
         assert noisy(max(lam - 1e-6, 0.0)) < 0.0
         assert noisy(min(lam + 1e-6, 0.5)) > -1e-12
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(x1=effects, x2=effects, b=st.floats(-0.9, 0.9))
+def test_robustness_is_the_first_root(x1, x2, b):
+    # The 64-point scan brackets the first sign change it sees; a double
+    # crossing between two scan points would hide an earlier root.  C must
+    # stay negative on a grid at least 30 times finer, up to just below the
+    # root.
+    assume(not is_jointly_measurable(x1, x2))
+    lam = robustness(x1, x2, b)
+    for l in np.linspace(0.0, lam - 1e-9, 2001):
+        noise = NoiseParams(l, b)
+        assert c_functional(apply_noise(x1, noise), apply_noise(x2, noise)) < 0.0, l
 
 
 def test_robustness_monotone_under_pre_mixing():

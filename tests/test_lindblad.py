@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ad_transfer, choi_matrix, dp_transfer
+from conftest import PROPERTY_SETTINGS, ad_transfer, choi_matrix, controls, dp_transfer
 from steerctl import (
     ControlHamiltonian,
     DriftGenerator,
@@ -19,7 +21,6 @@ from steerctl import (
     propagate,
     propagate_schrodinger,
     propagate_with_jacobian,
-    propagator_jacobian,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,6 +81,27 @@ def test_control_matrix_is_a_bloch_rotation_generator():
     assert np.allclose(k2[0, :], 0.0, atol=1e-14)
     assert np.allclose(k2[:, 0], 0.0, atol=1e-14)
     assert np.allclose(k2[1:, 1:], -k2[1:, 1:].T, atol=1e-14)
+
+
+#: Control fields from the stock strategy, or with components that probe
+#: signed zeros, tiny and huge magnitudes.
+extreme_controls = controls | st.builds(
+    lambda h: ControlHamiltonian(tuple(h)),
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-1.5, 1.5),
+        min_size=3,
+        max_size=3,
+    ),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(h=extreme_controls)
+def test_control_matrix_is_the_commutator_transfer_matrix_bit_for_bit(h):
+    # reference: the Pauli transfer matrix of A -> i[H, A], built by traces
+    hm = h.h[0] * SX + h.h[1] * SY + h.h[2] * SZ
+    expected = pauli_transfer_matrix(lambda a: 1j * (hm @ a - a @ hm))
+    assert control_matrix(h).tobytes() == expected.tobytes()
 
 
 def test_pulse_sequence_validation_and_zero():
@@ -280,6 +302,27 @@ def test_expm_frechet_against_scipy():
             assert np.max(np.abs(deriv - ref_deriv)) < SLOT_ATOL
 
 
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_stacked_expm_frechet_is_per_matrix_bit_for_bit(drift):
+    rng = np.random.default_rng(38)
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    amplitudes = np.concatenate([[15.0, -15.0], rng.uniform(-15.0, 15.0, 18)])
+    gens = slot_stack(DRIFTS[drift], amplitudes, SLOT_DT, False)
+    # one direction broadcast over the stack: the slot Frechet derivatives,
+    # equal to the blocks of the augmented stack built by hand
+    values, derivs = expm_frechet(gens, SLOT_DT * k)
+    aug = expm(augmented_slots(gens, SLOT_DT, k))
+    assert values.tobytes() == aug[:, :4, :4].tobytes()
+    assert derivs.tobytes() == aug[:, :4, 4:].tobytes()
+    # and a direction per matrix
+    dirs = rng.normal(size=gens.shape)
+    values, derivs = expm_frechet(gens, dirs)
+    for a, e, val, deriv in zip(gens, dirs, values, derivs):
+        ref_val, ref_deriv = expm_frechet(a, e)
+        assert val.tobytes() == ref_val.tobytes()
+        assert deriv.tobytes() == ref_deriv.tobytes()
+
+
 def test_expm_frechet_against_finite_differences():
     rng = np.random.default_rng(35)
     a = rng.normal(size=(4, 4))
@@ -296,7 +339,7 @@ def test_propagator_jacobian_matches_finite_differences():
     h = ControlHamiltonian((0.0, 1.0, 1.0))
     m, T = 4, 1.1
     amps = rng.uniform(-2.0, 2.0, size=m)
-    jac = propagator_jacobian(g, h, PulseSequence(T / m, tuple(amps)))
+    jac = propagate_with_jacobian(g, h, PulseSequence(T / m, tuple(amps)))[1]
     step = 1e-6
     for k in range(m):
         bumped = amps.copy()
@@ -315,7 +358,4 @@ def test_propagate_with_jacobian_is_consistent():
     p = random_pulse(rng, m=6)
     total, jac = propagate_with_jacobian(g, h, p)
     assert np.allclose(total, propagate(g, h, p), atol=1e-12)
-    separate = propagator_jacobian(g, h, p)
     assert len(jac) == p.m
-    for a, b in zip(jac, separate):
-        assert np.allclose(a, b, atol=1e-12)

@@ -44,10 +44,10 @@ from steerctl import (
     robustness,
     robustness_gradient,
     sharp_effect,
-    steering_gradient,
     steering_robustness,
     steering_value_and_gradient,
 )
+from steerctl.qubit_algebra import PAULI_BASIS
 
 X = sharp_effect([1.0, 0.0, 0.0])
 Z = sharp_effect([0.0, 0.0, 1.0])
@@ -131,6 +131,23 @@ def test_resource_map_reproduces_the_assemblage():
         rebuilt = sqrt_marg @ image @ sqrt_marg
         direct = assemblage(state, x, x).conditional(0, 0)
         assert np.allclose(rebuilt, direct, atol=1e-12)
+
+
+def test_resource_map_is_the_sixteen_trace_loop_bit_for_bit():
+    # reference: the explicit loop over Pauli pairs that resource_map used
+    # before it went through pauli_transfer_matrix
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        state = random_state(rng)
+        eigvals, eigvecs = np.linalg.eigh(bob_marginal(state))
+        inv_sqrt = (eigvecs / np.sqrt(np.clip(eigvals, 1e-12, None))) @ eigvecs.conj().T
+        r4 = state.matrix.reshape(2, 2, 2, 2)
+        expected = np.empty((4, 4))
+        for j, pj in enumerate(PAULI_BASIS):
+            image = inv_sqrt @ np.einsum("abcd,ca->bd", r4, pj.T) @ inv_sqrt
+            for i, pi in enumerate(PAULI_BASIS):
+                expected[i, j] = 0.5 * np.trace(pi @ image).real
+        assert resource_map(state).tobytes() == expected.tobytes()
 
 
 def test_resource_map_rejects_rank_deficient_marginal():
@@ -217,7 +234,7 @@ def test_steering_gradient_matches_finite_differences():
         value = steering_robustness(s, pulse)
         if not 0.0 < value < 0.5:
             continue
-        analytic = np.asarray(steering_gradient(s, pulse))
+        analytic = np.asarray(steering_value_and_gradient(s, pulse)[1])
         numeric = central_difference(lambda c: evaluator.pulse_value(T / m, tuple(c)), amps)
         assert relative_gradient_error(analytic, numeric) < 1e-5
 
