@@ -114,16 +114,6 @@ def _c_scalar(a0: float, va: float, b0: float, vb: float, d: float) -> float:
     )
 
 
-def _noisy_c(
-    lam: float, p: float, a0: float, va: float, b0: float, vb: float, d: float
-) -> float:
-    """C of the pair after mixing both effects with weight-lam noise."""
-    u = 1.0 - lam
-    shift = 2.0 * lam * p
-    u2 = u * u
-    return _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d)
-
-
 def c_functional(x1: FourVector, x2: FourVector) -> float:
     """Compatibility functional C; the pair is jointly measurable iff C >= 0."""
     return _c_scalar(*_pair_scalars(x1.as_tuple(), x2.as_tuple()))
@@ -149,7 +139,13 @@ def apply_noise(x: FourVector, n: NoiseParams) -> FourVector:
 def _smallest_root(
     a0: float, va: float, b0: float, vb: float, d: float, p: float
 ) -> float:
-    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible."""
+    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
+
+    Noise at weight lam maps the five scalars to
+    (u*a0 + 2*lam*p, u^2*|a|^2, u*b0 + 2*lam*p, u^2*|b|^2, u^2*a.b) with
+    u = 1 - lam.  Both loops apply that map inline, so each lam costs one
+    call of _c_scalar.
+    """
     if _c_scalar(a0, va, b0, vb, d) >= -COMPAT_TOL:
         return 0.0
     step = 0.5 / (_SCAN_POINTS - 1)
@@ -158,7 +154,10 @@ def _smallest_root(
     # Scan upward; the first sign change brackets the smallest root.
     for i in range(1, _SCAN_POINTS):
         lam = i * step
-        if _noisy_c(lam, p, a0, va, b0, vb, d) >= 0.0:
+        u = 1.0 - lam
+        shift = 2.0 * lam * p
+        u2 = u * u
+        if _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d) >= 0.0:
             hi = lam
             break
         lo = lam
@@ -168,7 +167,10 @@ def _smallest_root(
         )
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _noisy_c(mid, p, a0, va, b0, vb, d) < 0.0:
+        u = 1.0 - mid
+        shift = 2.0 * mid * p
+        u2 = u * u
+        if _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -180,7 +182,12 @@ def _robustness_tuples(
     x2: tuple[float, float, float, float],
     b: float,
 ) -> float:
-    """Root finder entry for callers that already hold raw components."""
+    """Root finder entry for callers that already hold raw components.
+
+    Python floats keep every operation of the scan and the bisection off
+    numpy's scalar machinery; np.float64 components give the same bits,
+    only slower.
+    """
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
     return _smallest_root(a0, va, b0, vb, d, 0.5 * (1.0 + b))
 

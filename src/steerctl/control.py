@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .lindblad import PulseSequence, _propagate_with_vjp, _slot_generators, expm
 from .steering import ScenarioEvaluator, SteeringScenario
@@ -188,9 +187,13 @@ def _descend(fun_and_grad, x0, bounds, max_iters, grad_tol) -> _Descent:
     grad_tol bounds the max-norm of the projected gradient, so boundary
     points with an outward-pointing gradient terminate correctly.
     """
+    # Imported on first use: scipy.optimize adds about 50 MB of resident
+    # memory, which commands that never optimize should not carry.
+    from scipy.optimize import minimize
+
     lo, hi = bounds
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    result = scipy.optimize.minimize(
+    result = minimize(
         fun_and_grad,
         x0,
         jac=True,

@@ -11,6 +11,7 @@ used by every 4x4 transfer matrix in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,16 +48,17 @@ class FourVector:
     x3: float
 
     def __post_init__(self) -> None:
+        # Components are stored as Python floats, so arithmetic on them
+        # never goes through numpy's scalar types.
         for name in ("x0", "x1", "x2", "x3"):
             value = float(getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidEffectError(f"non-finite component {name}={value!r}")
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "FourVector":
-        a = np.asarray(arr, dtype=float).reshape(4)
-        return cls(a[0], a[1], a[2], a[3])
+        return cls(*np.asarray(arr, dtype=float).reshape(4).tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2, self.x3])

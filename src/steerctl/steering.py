@@ -19,6 +19,7 @@ propagator Jacobian by the chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -166,6 +167,12 @@ class SteeringScenario:
                 "product state"
             )
 
+    @cached_property
+    def _evaluator(self) -> "ScenarioEvaluator":
+        # The module-level wrappers share one evaluator per scenario.  Kept
+        # on the scenario, it lives exactly as long as the scenario does.
+        return ScenarioEvaluator(self)
+
 
 class ScenarioEvaluator:
     """Precomputed pieces of one scenario, for repeated cost evaluations.
@@ -191,14 +198,16 @@ class ScenarioEvaluator:
         """Effects y_i = R @ channel @ x_i, checked, and their robustness."""
         y1 = self.resource @ (channel @ self._x1)
         y2 = self.resource @ (channel @ self._x2)
-        for y in (y1, y2):
+        e1 = FourVector(*y1.tolist())
+        e2 = FourVector(*y2.tolist())
+        for e in (e1, e2):
             # CPTP dynamics and the resource map preserve validity; anything
             # else indicates a broken transfer matrix.
-            if not validate_effect(FourVector.from_array(y)):
+            if not validate_effect(e):
                 raise InternalConsistencyError(
-                    f"transported effect {y} is invalid; a transfer matrix is not positive"
+                    f"transported effect {e} is invalid; a transfer matrix is not positive"
                 )
-        return y1, y2, compat._robustness_tuples(tuple(y1), tuple(y2), self._b)
+        return y1, y2, compat._robustness_tuples(e1.as_tuple(), e2.as_tuple(), self._b)
 
     def channel_value(self, channel: TransferMatrix) -> float:
         """Robustness of the effects transported by a Heisenberg channel matrix."""
@@ -242,7 +251,7 @@ def steering_robustness(s: SteeringScenario, p: PulseSequence) -> float:
         InternalConsistencyError: if a transported effect is invalid, which
             cannot happen for CPTP dynamics.
     """
-    return ScenarioEvaluator(s).pulse_value(p.dt, p.amplitudes)
+    return s._evaluator.pulse_value(p.dt, p.amplitudes)
 
 
 def steering_value_and_gradient(
@@ -253,4 +262,4 @@ def steering_value_and_gradient(
     A zero value flags the non-steerable plateau, where the gradient is
     zero by convention.
     """
-    return ScenarioEvaluator(s).pulse_value_and_gradient(p.dt, p.amplitudes)
+    return s._evaluator.pulse_value_and_gradient(p.dt, p.amplitudes)

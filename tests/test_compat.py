@@ -1,5 +1,7 @@
 """Pair functional, joint-measurability decision, and the noise monotone."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,9 @@ from steerctl import (
     robustness_gradient,
     sharp_effect,
 )
+from steerctl import compat
+from steerctl.compat import _BISECT_WIDTH, _RADICAND_TOL, _SCAN_POINTS, COMPAT_TOL
+from steerctl.errors import InvalidEffectError, NoiseInsufficientError
 
 X = sharp_effect([1.0, 0.0, 0.0])
 Z = sharp_effect([0.0, 0.0, 1.0])
@@ -210,3 +215,117 @@ def test_gradient_refuses_flat_region():
         robustness_gradient(X, X)
     with pytest.raises(NotDifferentiableError):
         robustness_gradient(shrunk([1, 0, 0], 0.3), shrunk([0, 0, 1], 0.3))
+
+
+# --- the root finder before its scan and bisection ran on Python floats ------
+# A verbatim copy of the scalar path as it stood when every evaluation went
+# through _noisy_c and numpy scalars.  The rewritten path must return the
+# same bits and raise the same errors.
+
+
+def _c_scalar(a0, va, b0, vb, d):
+    ta = 2.0 - a0
+    tb = 2.0 - b0
+    rad = (a0 * a0 - va) * (ta * ta - va) * (b0 * b0 - vb) * (tb * tb - vb)
+    if rad < 0.0:
+        if rad < -_RADICAND_TOL:
+            raise InvalidEffectError(
+                f"negative product {rad:.3e} under the square root; inputs are not valid effects"
+            )
+        rad = 0.0
+    return (
+        math.sqrt(rad)
+        - (a0 * ta + va) * (b0 * tb + vb)
+        + (a0 * tb + d) * (ta * b0 + d)
+        + (a0 * b0 - d) * (ta * tb - d)
+    )
+
+
+def _noisy_c(lam, p, a0, va, b0, vb, d):
+    u = 1.0 - lam
+    shift = 2.0 * lam * p
+    u2 = u * u
+    return _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d)
+
+
+def _smallest_root(a0, va, b0, vb, d, p):
+    if _c_scalar(a0, va, b0, vb, d) >= -COMPAT_TOL:
+        return 0.0
+    step = 0.5 / (_SCAN_POINTS - 1)
+    lo = 0.0
+    hi = None
+    for i in range(1, _SCAN_POINTS):
+        lam = i * step
+        if _noisy_c(lam, p, a0, va, b0, vb, d) >= 0.0:
+            hi = lam
+            break
+        lo = lam
+    if hi is None:
+        raise NoiseInsufficientError(
+            "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
+        )
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if _noisy_c(mid, p, a0, va, b0, vb, d) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def old_root(x1, x2, b):
+    return _smallest_root(*compat._pair_scalars(x1, x2), 0.5 * (1.0 + b))
+
+
+def outcome(f, *args):
+    """The returned float as hex, or the type of the raised error."""
+    try:
+        return float(f(*args)).hex()
+    except (InvalidEffectError, NoiseInsufficientError) as exc:
+        return type(exc)
+
+
+def zeroed(x, zeros):
+    """Components of x with the listed Bloch components set to the given zero."""
+    comps = list(x.as_tuple())
+    for index, zero in zeros:
+        comps[index] = zero
+    return tuple(comps)
+
+
+signed_zeros = st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.0, -0.0])), max_size=3)
+
+#: Raw components, valid effects or not, with signed zeros and unit entries
+#: drawn often.
+raw_components = st.tuples(
+    *[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), st.floats(-2.0, 2.0))] * 4
+)
+
+
+def assert_roots_agree(x1, x2, b):
+    """Python floats, numpy scalars and the old path give the same outcome."""
+    as_np = lambda x: tuple(np.float64(v) for v in x)
+    old = outcome(old_root, as_np(x1), as_np(x2), np.float64(b))
+    assert outcome(compat._robustness_tuples, x1, x2, b) == old
+    assert outcome(compat._robustness_tuples, as_np(x1), as_np(x2), np.float64(b)) == old
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    x1=st.builds(zeroed, effects, signed_zeros),
+    x2=st.builds(zeroed, effects, signed_zeros),
+    b=st.floats(-0.9, 0.9),
+)
+def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
+    # Zeroing Bloch components keeps an effect valid; only incompatible
+    # pairs reach the scan and the bisection.
+    assume(compat._robustness_tuples(x1, x2, b) > 0.0)
+    assert_roots_agree(x1, x2, b)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(x1=raw_components, x2=raw_components, b=st.floats(-0.9, 0.9))
+def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
+    # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
+    # every path alike; compatible ones return 0.0 alike.
+    assert_roots_agree(x1, x2, b)

@@ -1,5 +1,9 @@
 """Multi-start pulse optimization, landscape scans, and time sweeps."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +237,13 @@ def test_naive_cost_gradient_is_the_explicit_jacobian_contraction(drift, ctrl, p
     # tolerance relative to the size of the summed terms, as for the steering cost
     size = np.array([2.0 * np.sum(abs(diff) * abs(dm.T)) for dm in jac])
     assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # Only the optimizers need scipy.optimize (about 50 MB resident), so
+    # check, robustness, evolve and landscape runs never load it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(control.__file__)))
+    probe = "import sys, steerctl.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -29,6 +29,23 @@ def test_four_vector_rejects_non_finite():
         FourVector(np.nan, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidEffectError):
         FourVector(1.0, np.inf, 0.0, 0.0)
+    with pytest.raises(InvalidEffectError):
+        FourVector(1.0, 0.0, 0.0, -np.inf)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidEffectError):
+            FourVector.from_array([1.0, 0.0, bad, 0.0])
+        with pytest.raises(InvalidEffectError):
+            FourVector(1.0, 0.0, np.float64(bad), 0.0)
+
+
+@pytest.mark.parametrize("make", [np.float64, np.int64, int, float], ids=lambda f: f.__name__)
+def test_four_vector_components_are_python_floats(make):
+    x = FourVector(make(1), make(0), make(-1), make(0))
+    assert all(type(v) is float for v in x.as_tuple())
+    assert x.as_tuple() == (1.0, 0.0, -1.0, 0.0)
+    y = FourVector.from_array(np.array([make(1), make(0), make(-1), make(0)]))
+    assert all(type(v) is float for v in y.as_tuple())
+    assert y == x
 
 
 def test_minkowski_signature_and_symmetry():

@@ -1,8 +1,11 @@
 """Assemblages, the state resource map, and the pulsed steering monotone."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +18,7 @@ from conftest import (
     drifts,
     effects,
     pulses,
+    random_cptp_heisenberg,
     xz_scenario,
     random_effect,
     random_state,
@@ -47,6 +51,7 @@ from steerctl import (
     steering_robustness,
     steering_value_and_gradient,
 )
+from steerctl import steering
 from steerctl.qubit_algebra import PAULI_BASIS
 
 X = sharp_effect([1.0, 0.0, 0.0])
@@ -300,3 +305,77 @@ def test_adjoint_gradient_is_the_explicit_jacobian_contraction(x1, x2, drift, co
     # symmetry of the pair and the gradient is zero.
     size = np.array([sum(abs(a) @ abs(dm) @ abs(x) for a, x in terms) for dm in jac])
     assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    x1=effects,
+    x2=effects,
+    seed=st.integers(0, 2**32 - 1),
+    env_dim=st.integers(1, 2),
+    w=st.floats(0.0, 0.1),
+    b=st.floats(-0.9, 0.9),
+)
+def test_channel_value_is_the_public_robustness_bit_for_bit(x1, x2, seed, env_dim, w, b):
+    # The benchmark replays captured channels through the public functions
+    # and requires the in-job value bit for bit.  A little random state
+    # mixed into the maximally entangled one gives a resource map that is
+    # not the identity.  A one-dimensional environment gives a unitary
+    # channel, which mostly keeps the pair steerable; a two-dimensional one
+    # mostly reaches the plateau.
+    assume(robustness(x1, x2, b) > 0.0)
+    rng = np.random.default_rng(seed)
+    rho = (1.0 - w) * BipartiteState.max_entangled().matrix + w * random_state(rng).matrix
+    s = SteeringScenario(
+        BipartiteState(rho), x1, x2, DriftGenerator.dephasing(0.1),
+        ControlHamiltonian((0.0, 1.0, 1.0)), b,
+    )
+    evaluator = ScenarioEvaluator(s)
+    channel = random_cptp_heisenberg(rng, env_dim)
+    y1, y2 = (
+        FourVector.from_array(evaluator.resource @ (channel @ x.as_array())) for x in (x1, x2)
+    )
+    assert evaluator.channel_value(channel).hex() == robustness(y1, y2, b).hex()
+
+
+def test_channel_with_nan_is_an_invalid_effect():
+    evaluator = ScenarioEvaluator(xz_scenario("ad"))
+    channel = np.eye(4)
+    channel[1, 2] = np.nan
+    with pytest.raises(InvalidEffectError):
+        evaluator.channel_value(channel)
+
+
+def test_public_wrappers_build_one_evaluator_per_scenario(monkeypatch):
+    calls = []
+    built = steering.resource_map
+
+    def counting(rho):
+        calls.append(rho)
+        return built(rho)
+
+    monkeypatch.setattr(steering, "resource_map", counting)
+    s = xz_scenario("ad")
+    pulses = [PulseSequence(0.1, (float(k), -1.0, 2.0)) for k in range(10)]
+    values = [steering_robustness(s, p) for p in pulses]
+    assert len(calls) == 1
+    value, grad = steering_value_and_gradient(s, pulses[3])
+    assert len(calls) == 1
+    # the shared evaluator gives what a fresh one gives, bit for bit
+    fresh = ScenarioEvaluator(s)
+    assert values == [fresh.pulse_value(p.dt, p.amplitudes) for p in pulses]
+    expected = fresh.pulse_value_and_gradient(pulses[3].dt, pulses[3].amplitudes)
+    assert value == expected[0] and grad.tobytes() == expected[1].tobytes()
+    # another scenario gets its own evaluator (the fresh one above was the
+    # second resource map)
+    steering_robustness(xz_scenario("ad"), pulses[0])
+    assert len(calls) == 3
+
+
+def test_shared_evaluator_dies_with_its_scenario():
+    s = xz_scenario("dp")
+    steering_robustness(s, PulseSequence.zero(4, 1.0))
+    alive = weakref.ref(s)
+    del s
+    gc.collect()
+    assert alive() is None
