@@ -36,11 +36,9 @@ from .errors import (
 from .lindblad import (
     ControlHamiltonian,
     DriftGenerator,
-    DriftKind,
     PulseSequence,
     TransferMatrix,
     control_matrix,
-    drift_matrix,
     expm,
     expm_frechet,
     is_unital,
@@ -79,7 +77,6 @@ __all__ = [
     "ControlHamiltonian",
     "DegenerateRootError",
     "DriftGenerator",
-    "DriftKind",
     "FourVector",
     "HermitianMatrix2",
     "InternalConsistencyError",
@@ -103,7 +100,6 @@ __all__ = [
     "c_functional",
     "complement",
     "control_matrix",
-    "drift_matrix",
     "effect_from_matrix",
     "effect_to_matrix",
     "expm",

@@ -9,8 +9,9 @@ fixed headers; the others write a JSON summary; every command prints its
 headline number to stdout.  Floats in CSV files carry 17 significant digits
 and outputs are byte-identical across reruns of the same config.
 
-Exit status: 0 on success, 2 on config problems (unreadable file, schema or
-semantic violations), 3 on numerical errors raised by the library.  Any
+Exit status: 0 on success, 2 on config problems (unreadable file, invalid
+JSON or UTF-8, NaN, Infinity or an overflowing number, schema or semantic
+violations), 3 on numerical errors raised by the library.  Any
 other exception is a bug and propagates.
 
 The environment variable STEERCTL_THREADS (a positive integer) selects how
@@ -286,7 +287,7 @@ def _parse_drift(block: dict[str, Any] | None) -> DriftGenerator | None:
         return DriftGenerator.amplitude_damping(block["gamma"])
     if kind == "dephasing":
         return DriftGenerator.dephasing(block["gamma"])
-    return DriftGenerator.custom(np.array(block["matrix"], dtype=float))
+    return DriftGenerator(block["matrix"])
 
 
 def _parse_axis(block: dict[str, Any]) -> np.ndarray:
@@ -538,6 +539,13 @@ def _cmd_sweep(rc: RunConfig) -> None:
         print(f"sweep best uncontrolled robustness = {_fmt(best)}")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
 def run(
     config_path: str,
     command: str | None = None,
@@ -547,12 +555,10 @@ def run(
     """Execute one config file; returns the process exit status (0, 2, or 3)."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
+        # ValueError covers invalid JSON, invalid UTF-8 and non-finite numbers.
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)

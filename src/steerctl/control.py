@@ -62,10 +62,11 @@ class OptimizeConfig:
         object.__setattr__(self, "include_zero_start", bool(self.include_zero_start))
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not self.T > 0.0:
-            raise ValueError("T must be > 0")
-        if not lo < hi:
-            raise ValueError("amp_bounds must satisfy min < max")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError("T must be finite and > 0")
+        # A finite width keeps rng.uniform(lo, hi) from overflowing.
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ValueError("amp_bounds must satisfy min < max with a finite width")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
@@ -342,8 +343,8 @@ def landscape(
     """
     t_drift = float(t_drift)
     T = float(T)
-    if not 0.0 <= t_drift < T:
-        raise ValueError(f"need 0 <= t_drift < T, got t_drift={t_drift}, T={T}")
+    if not 0.0 <= t_drift < T < np.inf:
+        raise ValueError(f"need 0 <= t_drift < T < inf, got t_drift={t_drift}, T={T}")
     evaluator = ScenarioEvaluator(s)
     l0 = evaluator.drift_generator
     k = evaluator.control_generator

@@ -30,4 +30,9 @@ class UnsupportedStateError(SteerctlError):
 
 
 class InternalConsistencyError(SteerctlError):
-    """An internally produced object failed a sanity check that should never fail."""
+    """An internally produced object failed a sanity check.
+
+    Built-in dynamics always pass it.  A user-supplied drift generator that
+    is not completely positive can fail it: its channel may send a valid
+    effect to an invalid one.
+    """

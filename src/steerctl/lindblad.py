@@ -7,7 +7,8 @@ here reverses that order, so
 
     M = E_1 @ E_2 @ ... @ E_m,    E_k = exp(dt*L_{c_k}),
 
-with L_c = drift_matrix + c * control_matrix acting on effect 4-vectors.
+with L_c = L_0 + c * K acting on effect 4-vectors: L_0 is the drift
+generator's matrix and K = control_matrix(h).
 
 Every matrix exponential goes through one kernel, ``expm``, which takes a
 whole (n, k, k) stack at once: scaling and squaring with the degree-13 Pade
@@ -28,7 +29,6 @@ of stacked products rather than m sequential ones.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,61 +43,73 @@ TransferMatrix = np.ndarray
 _UNITAL_TOL = 1e-12
 
 
-class DriftKind(enum.Enum):
-    AMPLITUDE_DAMPING = "amplitude_damping"
-    DEPHASING = "dephasing"
-    CUSTOM = "custom"
+def _rate(gamma: float) -> float:
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ValueError(f"rate gamma must be finite and >= 0, got {gamma!r}")
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)
 class DriftGenerator:
-    """Uncontrolled Heisenberg generator, built-in or a custom Pauli matrix.
+    """Uncontrolled Heisenberg generator, held as its 4x4 Pauli-basis matrix.
 
-    Custom generators must annihilate the identity direction (zero first
-    column), which is unitality of the dual channel.
+    amplitude_damping and dephasing build the built-in generators;
+    DriftGenerator(matrix) takes any other.  The matrix must be finite and
+    annihilate the identity direction (zero first column), which is
+    unitality of the dual channel; it is stored read-only.  Complete
+    positivity is not checked: a generator that is not completely positive
+    can make a transported effect invalid, which ScenarioEvaluator reports
+    as InternalConsistencyError.
     """
 
-    kind: DriftKind
-    gamma: float = 0.0
-    custom_matrix: np.ndarray | None = None
+    matrix: TransferMatrix
 
     def __post_init__(self) -> None:
-        kind = DriftKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        gamma = float(self.gamma)
-        if not np.isfinite(gamma) or gamma < 0.0:
-            raise ValueError(f"rate gamma must be finite and >= 0, got {gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
-        if kind is DriftKind.CUSTOM:
-            if self.custom_matrix is None:
-                raise ValueError("custom drift requires a 4x4 generator matrix")
-            mat = np.asarray(self.custom_matrix, dtype=float)
-            if mat.shape != (4, 4):
-                raise ValueError(f"custom generator must be 4x4, got shape {mat.shape}")
-            if np.max(np.abs(mat[:, 0])) > _UNITAL_TOL:
-                raise ValueError(
-                    "custom generator must annihilate the identity direction "
-                    "(first column zero)"
-                )
-            mat = mat.copy()
-            mat.setflags(write=False)
-            object.__setattr__(self, "custom_matrix", mat)
-        elif self.custom_matrix is not None:
-            raise ValueError("custom_matrix is only allowed with the custom kind")
+        mat = np.array(self.matrix, dtype=float)
+        if mat.shape != (4, 4):
+            raise ValueError(f"drift generator must be 4x4, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("drift generator entries must be finite")
+        if np.max(np.abs(mat[:, 0])) > _UNITAL_TOL:
+            raise ValueError(
+                "drift generator must annihilate the identity direction "
+                "(first column zero)"
+            )
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    def __reduce__(self):
+        # Unpickling goes through __post_init__, so the copy is read-only too.
+        return DriftGenerator, (self.matrix,)
 
     @classmethod
     def amplitude_damping(cls, gamma: float) -> "DriftGenerator":
-        """Decay toward the sigma_z = -1 ground state at rate gamma."""
-        return cls(DriftKind.AMPLITUDE_DAMPING, gamma)
+        """Decay toward the sigma_z = -1 ground state at rate gamma.
+
+        The lowering operator |g><e| (sigma_z|e> = +|e>) damps sigma_x and
+        sigma_y at rate gamma and sends sigma_z to -2*gamma*(Id + sigma_z).
+        """
+        gm = _rate(gamma)
+        return cls(
+            np.array(
+                [
+                    [0.0, 0.0, 0.0, -2.0 * gm],
+                    [0.0, -gm, 0.0, 0.0],
+                    [0.0, 0.0, -gm, 0.0],
+                    [0.0, 0.0, 0.0, -2.0 * gm],
+                ]
+            )
+        )
 
     @classmethod
     def dephasing(cls, gamma: float) -> "DriftGenerator":
-        """Dephasing in the sigma_y basis at rate gamma."""
-        return cls(DriftKind.DEPHASING, gamma)
+        """Dephasing in the sigma_y basis at rate gamma.
 
-    @classmethod
-    def custom(cls, matrix: np.ndarray) -> "DriftGenerator":
-        return cls(DriftKind.CUSTOM, 0.0, matrix)
+        Damps sigma_x and sigma_z at rate 2*gamma and leaves sigma_y fixed.
+        """
+        gm = _rate(gamma)
+        return cls(np.diag([0.0, -2.0 * gm, 0.0, -2.0 * gm]))
 
 
 @dataclass(frozen=True)
@@ -159,29 +171,6 @@ def pauli_transfer_matrix(apply_map: Callable[[np.ndarray], np.ndarray]) -> Tran
         for i, pi in enumerate(PAULI_BASIS):
             out[i, j] = 0.5 * np.trace(pi @ image).real
     return out
-
-
-def drift_matrix(g: DriftGenerator) -> TransferMatrix:
-    """Pauli-basis matrix of the Heisenberg drift generator.
-
-    Amplitude damping (lowering operator |g><e|, sigma_z|e> = +|e>) damps
-    sigma_x and sigma_y at rate gamma and sends sigma_z to
-    -2*gamma*(Id + sigma_z); dephasing in the sigma_y basis damps sigma_x
-    and sigma_z at rate 2*gamma and leaves sigma_y fixed.
-    """
-    if g.kind is DriftKind.CUSTOM:
-        return np.array(g.custom_matrix)
-    gm = g.gamma
-    if g.kind is DriftKind.AMPLITUDE_DAMPING:
-        return np.array(
-            [
-                [0.0, 0.0, 0.0, -2.0 * gm],
-                [0.0, -gm, 0.0, 0.0],
-                [0.0, 0.0, -gm, 0.0],
-                [0.0, 0.0, 0.0, -2.0 * gm],
-            ]
-        )
-    return np.diag([0.0, -2.0 * gm, 0.0, -2.0 * gm])
 
 
 def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
@@ -344,7 +333,7 @@ def propagate(
     Slot factors multiply in pulse order from the left: the first slot acts
     first on the effect, which is the reverse of the Schrodinger order.
     """
-    return _propagate_from(drift_matrix(g), control_matrix(h), p.dt, p.amplitudes)
+    return _propagate_from(g.matrix, control_matrix(h), p.dt, p.amplitudes)
 
 
 def propagate_schrodinger(
@@ -367,7 +356,7 @@ def propagate_with_jacobian(
     ScenarioEvaluator.pulse_value_and_gradient evaluates.
     """
     factors, frechet = _slot_frechet_exponentials(
-        drift_matrix(g), control_matrix(h), p.dt, p.amplitudes
+        g.matrix, control_matrix(h), p.dt, p.amplitudes
     )
     prefixes = _prefixes(factors)
     return prefixes[-1], list(prefixes[:-1] @ frechet @ _suffixes(factors))

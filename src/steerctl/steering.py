@@ -40,7 +40,6 @@ from .lindblad import (
     _propagate_from,
     _propagate_with_vjp,
     control_matrix,
-    drift_matrix,
     pauli_transfer_matrix,
 )
 from .qubit_algebra import (
@@ -185,7 +184,7 @@ class ScenarioEvaluator:
     def __init__(self, scenario: SteeringScenario):
         self.scenario = scenario
         self.resource = resource_map(scenario.rho)
-        self.drift_generator = drift_matrix(scenario.drift)
+        self.drift_generator = scenario.drift.matrix
         self.control_generator = control_matrix(scenario.control)
         self._x1 = scenario.x1.as_array()
         self._x2 = scenario.x2.as_array()

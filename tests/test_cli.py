@@ -233,6 +233,67 @@ def test_malformed_json_is_a_usage_error(tmp_path):
     assert main(["check", "--config", str(path)]) == 2
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+def landscape_block(c1_max=1.0, step=1.0, horizon=2.8):
+    return {
+        "t_drift": 2.6,
+        "T": horizon,
+        "c1": {"min": -1.0, "max": c1_max, "step": step},
+        "c2": {"min": -1.0, "max": 1.0, "step": 1.0},
+    }
+
+
+#: json.dumps writes inf and nan as the literals Infinity and NaN.
+NON_FINITE_CONFIGS = {
+    "optimize-T": ("optimize", {"scenario": AD_SCENARIO, "optimize": {"T": INF}}),
+    "amp_bounds": (
+        "optimize",
+        {"scenario": AD_SCENARIO, "optimize": {"T": 1.0, "amp_bounds": [-INF, INF]}},
+    ),
+    "landscape-T": ("landscape", {"scenario": AD_SCENARIO, "landscape": landscape_block(horizon=INF)}),
+    "c1-max": ("landscape", {"scenario": AD_SCENARIO, "landscape": landscape_block(c1_max=INF)}),
+    "c1-step": ("landscape", {"scenario": AD_SCENARIO, "landscape": landscape_block(step=INF)}),
+    "t_grid": (
+        "sweep",
+        {"scenario": AD_SCENARIO, "sweep": {"t_grid": [INF], "include_control": False}},
+    ),
+    "four_vectors": (
+        "check",
+        {
+            "scenario": {
+                "measurements": {
+                    "kind": "four_vectors",
+                    "x1": [NAN, 0.4, 0.0, 0.0],
+                    "x2": [1.0, 0.0, 0.0, 0.4],
+                }
+            }
+        },
+    ),
+}
+
+UNREADABLE_CONFIGS = {
+    name: (command, json.dumps(payload).encode())
+    for name, (command, payload) in NON_FINITE_CONFIGS.items()
+}
+# a finite literal that overflows to inf when parsed
+UNREADABLE_CONFIGS["c1-max-1e400"] = (
+    "landscape",
+    UNREADABLE_CONFIGS["c1-max"][1].replace(b"Infinity", b"1e400"),
+)
+UNREADABLE_CONFIGS["non-utf8"] = ("check", b'{"scenario": {"measurements": "\xff"}}')
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+def test_unreadable_configs_are_usage_errors(tmp_path, capsys, name):
+    command, text = UNREADABLE_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1}
     assert main(["check", "--config", write_config(tmp_path, payload)]) == 2

@@ -14,7 +14,6 @@ from steerctl import (
     PulseSequence,
     ScenarioEvaluator,
     control_matrix,
-    drift_matrix,
     landscape,
     naive_optimize,
     optimize,
@@ -38,6 +37,13 @@ def test_optimize_config_validation():
         OptimizeConfig(T=1.0, n_starts=0)
     with pytest.raises(ValueError):
         OptimizeConfig(T=1.0, grad_tol=0.0)
+    with pytest.raises(ValueError):
+        OptimizeConfig(T=float("inf"))
+    # an infinite width would overflow rng.uniform at the first random start
+    with pytest.raises(ValueError):
+        OptimizeConfig(T=1.0, amp_bounds=(-1e308, 1e308))
+    with pytest.raises(ValueError):
+        OptimizeConfig(T=1.0, amp_bounds=(-float("inf"), 1.0))
     cfg = OptimizeConfig(T=2.8, m=20)
     assert cfg.dt == pytest.approx(0.14)
 
@@ -207,6 +213,8 @@ def test_landscape_rejects_bad_drift_window():
         landscape(s, t_drift=3.0, T=2.8, c1_axis=[0.0], c2_axis=[0.0])
     with pytest.raises(ValueError):
         landscape(s, t_drift=-0.1, T=2.8, c1_axis=[0.0], c2_axis=[0.0])
+    with pytest.raises(ValueError):
+        landscape(s, t_drift=0.0, T=float("inf"), c1_axis=[0.0], c2_axis=[0.0])
 
 
 def test_time_sweep_rows():
@@ -228,7 +236,7 @@ def test_time_sweep_rows():
 @given(drift=drifts, ctrl=controls, pulse=pulses)
 def test_naive_cost_gradient_is_the_explicit_jacobian_contraction(drift, ctrl, pulse):
     cost, grad = control._identity_distance(
-        drift_matrix(drift), control_matrix(ctrl), pulse.dt, pulse.amplitudes
+        drift.matrix, control_matrix(ctrl), pulse.dt, pulse.amplitudes
     )
     total, jac = propagate_with_jacobian(drift, ctrl, pulse)
     diff = total.T - np.eye(4)

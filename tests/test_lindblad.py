@@ -1,5 +1,7 @@
 """Transfer-matrix dynamics: generators, propagation, and exact derivatives."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,10 +12,8 @@ from conftest import PROPERTY_SETTINGS, ad_transfer, choi_matrix, controls, dp_t
 from steerctl import (
     ControlHamiltonian,
     DriftGenerator,
-    DriftKind,
     PulseSequence,
     control_matrix,
-    drift_matrix,
     expm,
     expm_frechet,
     is_unital,
@@ -39,18 +39,82 @@ def apply_heisenberg(transfer, mat):
     return 0.5 * sum(c * p for c, p in zip(out, PAULIS))
 
 
+def parent_drift_matrix(kind, gm):
+    """The tag switch that rebuilt a built-in generator on every call."""
+    if kind == "amplitude_damping":
+        return np.array(
+            [
+                [0.0, 0.0, 0.0, -2.0 * gm],
+                [0.0, -gm, 0.0, 0.0],
+                [0.0, 0.0, -gm, 0.0],
+                [0.0, 0.0, 0.0, -2.0 * gm],
+            ]
+        )
+    return np.diag([0.0, -2.0 * gm, 0.0, -2.0 * gm])
+
+
+#: Rates from zero through the subnormals up to 1e300, plus fixed edge values.
+RATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 0.37, 1.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
 def test_drift_generator_validation():
     with pytest.raises(ValueError):
         DriftGenerator.amplitude_damping(-0.1)
     with pytest.raises(ValueError):
-        DriftGenerator.custom(np.ones((4, 4)))  # identity direction not annihilated
+        DriftGenerator(np.ones((4, 4)))  # identity direction not annihilated
     with pytest.raises(ValueError):
-        DriftGenerator.custom(np.ones((3, 3)))
+        DriftGenerator(np.ones((3, 3)))
     mat = np.zeros((4, 4))
     mat[1, 2] = 1.0
-    gen = DriftGenerator.custom(mat)
-    assert gen.kind is DriftKind.CUSTOM
-    assert np.array_equal(drift_matrix(gen), mat)
+    gen = DriftGenerator(mat)
+    assert np.array_equal(gen.matrix, mat)
+    assert not gen.matrix.flags.writeable
+    mat[1, 2] = 2.0  # the generator holds its own copy
+    assert gen.matrix[1, 2] == 1.0
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(kind=st.sampled_from(["amplitude_damping", "dephasing"]), gamma=RATES)
+def test_built_in_drifts_match_the_parent_switch_bit_for_bit(kind, gamma):
+    got = getattr(DriftGenerator, kind)(gamma).matrix
+    assert got.tobytes() == parent_drift_matrix(kind, gamma).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (3, 0), (0, 3), (2, 2)])
+def test_non_finite_generators_are_rejected(bad, entry):
+    mat = np.zeros((4, 4))
+    mat[entry] = bad
+    with pytest.raises(ValueError):
+        DriftGenerator(mat)
+
+
+@pytest.mark.parametrize("build", [DriftGenerator.amplitude_damping, DriftGenerator.dephasing])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 1e308])
+def test_rates_without_a_finite_generator_are_rejected(build, gamma):
+    # 1e308 is a finite rate, but -2 * 1e308 overflows to -inf.
+    with pytest.raises(ValueError):
+        build(gamma)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        DriftGenerator.amplitude_damping(0.0),
+        DriftGenerator.dephasing(0.1),
+        DriftGenerator(np.diag([0.0, -0.5, -0.25, -1.0])),
+    ],
+    ids=["ad-0", "dp", "custom"],
+)
+def test_matrix_is_read_only_and_survives_pickling(gen):
+    with pytest.raises(ValueError):
+        gen.matrix[1, 1] = 0.0
+    copy = pickle.loads(pickle.dumps(gen))
+    assert copy.matrix.tobytes() == gen.matrix.tobytes()
+    assert not copy.matrix.flags.writeable
 
 
 def test_drift_matrices_match_explicit_lindblad_adjoints():
@@ -60,9 +124,9 @@ def test_drift_matrices_match_explicit_lindblad_adjoints():
     ad = pauli_transfer_matrix(
         lambda a: 2.0 * gamma * (lower.conj().T @ a @ lower - 0.5 * (number @ a + a @ number))
     )
-    assert np.allclose(ad, drift_matrix(DriftGenerator.amplitude_damping(gamma)), atol=1e-14)
+    assert np.allclose(ad, DriftGenerator.amplitude_damping(gamma).matrix, atol=1e-14)
     dp = pauli_transfer_matrix(lambda a: gamma * (SY @ a @ SY - a))
-    assert np.allclose(dp, drift_matrix(DriftGenerator.dephasing(gamma)), atol=1e-14)
+    assert np.allclose(dp, DriftGenerator.dephasing(gamma).matrix, atol=1e-14)
 
 
 def test_control_matrix_is_a_bloch_rotation_generator():
@@ -140,7 +204,7 @@ def test_zero_pulse_semigroup_property():
 def test_first_slot_acts_first():
     g = DriftGenerator.amplitude_damping(0.3)
     h = ControlHamiltonian((0.0, 0.0, 1.0))
-    l0 = drift_matrix(g)
+    l0 = g.matrix
     k = control_matrix(h)
     dt = 0.4
     c1, c2 = 1.7, -0.9
@@ -225,7 +289,7 @@ def augmented_slots(gens, dt, k):
 
 
 def slot_stack(drift, amplitudes, dt, augmented, h=(0.0, 1.0, 1.0)):
-    l0 = drift_matrix(drift)
+    l0 = drift.matrix
     k = control_matrix(ControlHamiltonian(h))
     gens = dt * (l0[None] + np.asarray(amplitudes, dtype=float)[:, None, None] * k[None])
     return augmented_slots(gens, dt, k) if augmented else gens
@@ -263,7 +327,7 @@ def test_expm_at_the_defective_critical_amplitude():
     # defective pair at the critical amplitude.  Locate it by bisection on
     # whether the spectrum is real.
     drift = DriftGenerator.amplitude_damping(0.3)
-    l0 = drift_matrix(drift)
+    l0 = drift.matrix
     k = control_matrix(ControlHamiltonian((1.0, 0.0, 0.0)))
 
     def oscillates(c):

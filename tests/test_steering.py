@@ -31,6 +31,7 @@ from steerctl import (
     DegenerateRootError,
     DriftGenerator,
     FourVector,
+    InternalConsistencyError,
     InvalidEffectError,
     NotDifferentiableError,
     PulseSequence,
@@ -344,6 +345,18 @@ def test_channel_with_nan_is_an_invalid_effect():
     channel[1, 2] = np.nan
     with pytest.raises(InvalidEffectError):
         evaluator.channel_value(channel)
+
+
+def test_non_cp_drift_is_reported_as_an_internal_inconsistency():
+    # complete positivity of a user-supplied generator is not checked: this
+    # one amplifies the Bloch components, so the transported effect leaves
+    # the effect set
+    s = xz_scenario("ad")
+    grow = SteeringScenario(
+        s.rho, s.x1, s.x2, DriftGenerator(np.diag([0.0, 1.0, 1.0, 1.0])), s.control
+    )
+    with pytest.raises(InternalConsistencyError):
+        steering_robustness(grow, PulseSequence.zero(4, 1.0))
 
 
 def test_public_wrappers_build_one_evaluator_per_scenario(monkeypatch):
