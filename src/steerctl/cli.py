@@ -298,12 +298,44 @@ def _parse_axis(block: dict[str, Any]) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
+#: Config fields the schema types as integers; they stay Python ints.  Every
+#: other number becomes a float (or a complex) when the run is built.
+_INTEGER_FIELDS = frozenset(
+    ("optimize", name)
+    for name, spec in CONFIG_SCHEMA["properties"]["optimize"]["properties"].items()
+    if spec.get("type") == "integer"
+)
+
+
+def _check_float_range(node: Any, path: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the first number field too large for a float.
+
+    JSON integer literals load as Python ints of any size, and float() of
+    one beyond the double range raises OverflowError instead.
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if path + (key,) not in _INTEGER_FIELDS:
+                _check_float_range(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            _check_float_range(value, path + (str(index),))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        try:
+            float(node)
+        except OverflowError:
+            raise ValueError(
+                f"number at {'/'.join(path)} is too large for a float"
+            ) from None
+
+
 def _build_run_config(
     raw: dict[str, Any],
     command: str,
     out_override: str | None,
     seed_override: int | None,
 ) -> RunConfig:
+    _check_float_range(raw)
     configured = raw.get("command")
     if configured is not None and configured != command:
         raise ValueError(

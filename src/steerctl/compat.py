@@ -18,14 +18,16 @@ C(N_lam(x1), N_lam(x2)) = 0 at the root.
 C depends on a pair only through five scalars (the two identity coefficients,
 the two Bloch norms, and the Bloch overlap), and classical noise acts on those
 scalars directly; the root finder below exploits this.
+
+The root finder and the gradient both run on Python floats in a fixed
+order: every Minkowski form is a left-to-right sum of four products, with no
+BLAS dot, so their bits do not depend on the host's BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateRootError,
@@ -56,8 +58,6 @@ _UNSHARP_TOL = 1e-9
 
 #: |dC/dlam| below this at the root counts as a degenerate root.
 _DEGENERATE_TOL = 1e-10
-
-_ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,10 @@ def is_jointly_measurable(x1: FourVector, x2: FourVector) -> bool:
     return c_functional(x1, x2) >= -COMPAT_TOL
 
 
-def _noise_map(x: np.ndarray, lam: float, p: float) -> np.ndarray:
-    """N_{lam,b} on an effect 4-vector: scale by 1 - lam, then shift x0 by 2*lam*p."""
-    y = (1.0 - lam) * np.asarray(x, dtype=float)
-    y[0] += 2.0 * lam * p
-    return y
-
-
 def apply_noise(x: FourVector, n: NoiseParams) -> FourVector:
-    """Mix an effect with classical noise: shrink the Bloch part, shift x0."""
-    return FourVector.from_array(_noise_map(x.as_array(), n.lam, n.p))
+    """Mix an effect with classical noise: scale by 1 - lam, then shift x0 by 2*lam*p."""
+    u = 1.0 - n.lam
+    return FourVector(u * x.x0 + 2.0 * n.lam * n.p, u * x.x1, u * x.x2, u * x.x3)
 
 
 def _smallest_root(
@@ -210,65 +204,88 @@ def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:
     return _robustness_tuples(x1.as_tuple(), x2.as_tuple(), b)
 
 
-def _c_gradients(y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total derivatives of C with respect to each effect 4-vector.
-
-    The totals include the chain through each complement (d y_perp / d y is
-    minus the identity).  Requires all four Minkowski norms positive.
-    """
-    y1p = np.array([2.0 - y1[0], -y1[1], -y1[2], -y1[3]])
-    y2p = np.array([2.0 - y2[0], -y2[1], -y2[2], -y2[3]])
-    e1, e1p, e2, e2p = _ETA * y1, _ETA * y1p, _ETA * y2, _ETA * y2p
-    n1 = float(e1 @ y1)
-    n1p = float(e1p @ y1p)
-    n2 = float(e2 @ y2)
-    n2p = float(e2p @ y2p)
-    m11p = float(e1 @ y1p)
-    m22p = float(e2 @ y2p)
-    m12p = float(e1 @ y2p)
-    m1p2 = float(e1p @ y2)
-    m12 = float(e1 @ y2)
-    m1p2p = float(e1p @ y2p)
-    s = math.sqrt(n1 * n1p * n2 * n2p)
-    # Partials of C with the four slots (y1, y1p, y2, y2p) independent.
-    d_y1 = (n1p * n2 * n2p / s) * e1 - m22p * e1p + m1p2 * e2p + m1p2p * e2
-    d_y1p = (n1 * n2 * n2p / s) * e1p - m22p * e1 + m12p * e2 + m12 * e2p
-    d_y2 = (n1 * n1p * n2p / s) * e2 - m11p * e2p + m12p * e1p + m1p2p * e1
-    d_y2p = (n1 * n1p * n2 / s) * e2p - m11p * e2 + m1p2 * e1 + m12 * e1p
-    return d_y1 - d_y1p, d_y2 - d_y2p
-
-
 def _gradient_at_root(
-    x1: np.ndarray, x2: np.ndarray, b: float, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
+    x1: tuple[float, float, float, float],
+    x2: tuple[float, float, float, float],
+    b: float,
+    lam: float,
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
     """(dI/dx1, dI/dx2) given the root lam in (0, 1/2) for the pair.
+
+    Implicit differentiation of C(N(x1), N(x2)) = 0: dI/dx_i is
+    -(1 - lam) / (dC/dlam) times the total derivative g_i of C with respect
+    to the noisy effect y_i = N(x_i), which includes the chain through its
+    complement (d y_perp / d y is minus the identity).  Every Minkowski form
+    is a left-to-right sum of four products on Python floats.
 
     Raises:
         NotDifferentiableError: if a noisy effect at the root is sharp.
         DegenerateRootError: if C is stationary in lam at the root.
     """
     p = 0.5 * (1.0 + b)
-    y1 = _noise_map(x1, lam, p)
-    y2 = _noise_map(x2, lam, p)
-    for y in (y1, y2):
-        n = y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
-        t = 2.0 - y[0]
-        npp = t * t - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
-        if n <= _UNSHARP_TOL or npp <= _UNSHARP_TOL:
-            raise NotDifferentiableError(
-                "a noisy effect at the root is sharp; the square root in C is not differentiable"
-            )
-    g1, g2 = _c_gradients(y1, y2)
-    # dN/dlam at fixed x, for each input.
-    u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
-    u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
-    dc_dlam = float(g1 @ u1 + g2 @ u2)
+    u = 1.0 - lam
+    shift = 2.0 * lam * p
+    a0 = u * x1[0] + shift
+    a1 = u * x1[1]
+    a2 = u * x1[2]
+    a3 = u * x1[3]
+    b0 = u * x2[0] + shift
+    b1 = u * x2[1]
+    b2 = u * x2[2]
+    b3 = u * x2[3]
+    ta = 2.0 - a0
+    tb = 2.0 - b0
+    # Minkowski norms of y1, y1_perp, y2, y2_perp.
+    n1 = a0 * a0 - a1 * a1 - a2 * a2 - a3 * a3
+    n1p = ta * ta - a1 * a1 - a2 * a2 - a3 * a3
+    n2 = b0 * b0 - b1 * b1 - b2 * b2 - b3 * b3
+    n2p = tb * tb - b1 * b1 - b2 * b2 - b3 * b3
+    if min(n1, n1p) <= _UNSHARP_TOL or min(n2, n2p) <= _UNSHARP_TOL:
+        raise NotDifferentiableError(
+            "a noisy effect at the root is sharp; the square root in C is not differentiable"
+        )
+    # Cross forms; a trailing p in a name marks a complement.
+    m11p = a0 * ta + a1 * a1 + a2 * a2 + a3 * a3
+    m22p = b0 * tb + b1 * b1 + b2 * b2 + b3 * b3
+    m12p = a0 * tb + a1 * b1 + a2 * b2 + a3 * b3
+    m1p2 = ta * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    m12 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    m1p2p = ta * tb - a1 * b1 - a2 * b2 - a3 * b3
+    s = math.sqrt(n1 * n1p * n2 * n2p)
+    k1 = n1p * n2 * n2p / s
+    k1p = n1 * n2 * n2p / s
+    k2 = n1 * n1p * n2p / s
+    k2p = n1 * n1p * n2 / s
+    # g1 = dC/dy1 - dC/dy1_perp with the four slots of C independent; the
+    # Minkowski metric flips the sign of each Bloch component.
+    g1 = (
+        (k1 * a0 - m22p * ta + m1p2 * tb + m1p2p * b0)
+        - (k1p * ta - m22p * a0 + m12p * b0 + m12 * tb),
+        *(
+            (-k1 * ai - m22p * ai + m1p2 * bi - m1p2p * bi)
+            - (k1p * ai + m22p * ai - m12p * bi + m12 * bi)
+            for ai, bi in ((a1, b1), (a2, b2), (a3, b3))
+        ),
+    )
+    g2 = (
+        (k2 * b0 - m11p * tb + m12p * ta + m1p2p * a0)
+        - (k2p * tb - m11p * b0 + m1p2 * a0 + m12 * ta),
+        *(
+            (-k2 * bi - m11p * bi + m12p * ai - m1p2p * ai)
+            - (k2p * bi + m11p * bi - m1p2 * ai + m12 * ai)
+            for ai, bi in ((a1, b1), (a2, b2), (a3, b3))
+        ),
+    )
+    # dN/dlam at fixed x is (2p - x0, -x_vec).
+    dc_dlam = (
+        g1[0] * (2.0 * p - x1[0]) - g1[1] * x1[1] - g1[2] * x1[2] - g1[3] * x1[3]
+    ) + (g2[0] * (2.0 * p - x2[0]) - g2[1] * x2[1] - g2[2] * x2[2] - g2[3] * x2[3])
     if abs(dc_dlam) < _DEGENERATE_TOL:
         raise DegenerateRootError(
             f"dC/dlam = {dc_dlam:.3e} at the root; implicit differentiation is ill-posed"
         )
-    scale = -(1.0 - lam) / dc_dlam
-    return scale * g1, scale * g2
+    scale = -u / dc_dlam
+    return tuple(scale * g for g in g1), tuple(scale * g for g in g2)
 
 
 def robustness_gradient(
@@ -289,5 +306,5 @@ def robustness_gradient(
         raise NotDifferentiableError(
             f"robustness {lam!r} is not in the open interval (0, 1/2)"
         )
-    g1, g2 = _gradient_at_root(x1.as_array(), x2.as_array(), b, lam)
-    return FourVector.from_array(g1), FourVector.from_array(g2)
+    g1, g2 = _gradient_at_root(x1.as_tuple(), x2.as_tuple(), b, lam)
+    return FourVector(*g1), FourVector(*g2)

@@ -21,10 +21,12 @@ derivatives: the top-right block F_k of exp([[dt*L_k, dt*K], [0, dt*L_k]])
 is the derivative of E_k, so dM/dc_k = P_{k-1} @ F_k @ S_k with prefix
 P_{k-1} = E_1...E_{k-1} and suffix S_k = E_{k+1}...E_m.  A cost gradient
 only needs tr(rows @ dM/dc_k @ cols) for every k, an adjoint
-(vector-Jacobian) product: one sweep of prefixes from the left, whose last
-entry is M itself, and one sweep of suffixes from the right give it for
-all k at once without forming any dM/dc_k.  Each sweep is a log-depth scan
-of stacked products rather than m sequential ones.
+(vector-Jacobian) product: the prefixes, whose last entry is M itself, and
+the suffixes give it for all k at once without forming any dM/dc_k.  The
+transposed suffixes are prefixes of the reversed, transposed factors, so
+one log-depth scan over the stacked pair (factors, reversed transposed
+factors) yields both: ceil(log2(m)) stacked products rather than 2m
+sequential ones.
 """
 
 from __future__ import annotations
@@ -260,26 +262,16 @@ def _slot_generators(
     return dt * (l0[None, :, :] + amps[:, None, None] * k[None, :, :])
 
 
-def _slot_frechet_exponentials(
-    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slot factors E_k and their amplitude derivatives F_k, from one kernel call.
-
-    Both are blocks of the exponential of the augmented (m, 8, 8) stack
-    [[dt*L_k, dt*K], [0, dt*L_k]]: E_k top-left, F_k top-right.
-    """
-    return expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
-
-
 def _prefixes(factors: np.ndarray) -> np.ndarray:
     """Products of the first j slot factors, j = 0..m: out[0] = I, out[m] = M.
 
-    A log-depth scan: after the pass with stride d each entry holds the
-    product of up to 2d consecutive factors, so m sequential 4x4 products
-    become ceil(log2(m)) stacked ones.
+    factors has shape (m, ..., 4, 4); each index of the middle axes is its
+    own sequence of m factors.  A log-depth scan: after the pass with
+    stride d each entry holds the product of up to 2d consecutive factors,
+    so m sequential 4x4 products become ceil(log2(m)) stacked ones.
     """
     m = factors.shape[0]
-    out = np.empty((m + 1, 4, 4))
+    out = np.empty((m + 1,) + factors.shape[1:])
     out[0] = np.eye(4)
     out[1:] = factors
     scan = out[1:]
@@ -290,12 +282,20 @@ def _prefixes(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _suffixes(factors: np.ndarray) -> np.ndarray:
-    """Products of the slot factors after slot j, j = 0..m-1 (the last is I).
+def _slot_scans(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefixes P_0..P_m, derivatives F_1..F_m and suffixes S_1..S_m of a pulse.
 
-    Their transposes are the prefixes of the reversed, transposed factors.
+    E_k and F_k are blocks of the exponential of the augmented (m, 8, 8)
+    stack [[dt*L_k, dt*K], [0, dt*L_k]]: E_k top-left, F_k top-right.  The
+    suffix S_k = E_{k+1}...E_m is the transpose of a prefix of the reversed,
+    transposed factors, so one scan over the stacked pair (factors, reversed
+    transposed factors) gives both.
     """
-    return _prefixes(factors[:0:-1].transpose(0, 2, 1))[::-1].transpose(0, 2, 1)
+    factors, frechet = expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
+    scans = _prefixes(np.stack([factors, factors[::-1].transpose(0, 2, 1)], axis=1))
+    return scans[:, 0], frechet, scans[-2::-1, 1].transpose(0, 2, 1)
 
 
 def _propagate_from(
@@ -311,15 +311,13 @@ def _propagate_with_vjp(
 
     vjp(rows, cols)[k] = tr(rows @ dM/dc_k @ cols) for rows of shape (r, 4)
     and cols of shape (4, r), computed as tr(prefix_k @ F_k @ suffix_k @
-    cols @ rows) from the prefixes that made M and one suffix scan; no
-    dM/dc_k is formed.
+    cols @ rows) from the scan that made M; no dM/dc_k is formed.
     """
-    factors, frechet = _slot_frechet_exponentials(l0, k, dt, amplitudes)
-    prefixes = _prefixes(factors)
+    prefixes, frechet, suffixes = _slot_scans(l0, k, dt, amplitudes)
 
     def vjp(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         head = prefixes[:-1] @ frechet
-        tail = _suffixes(factors) @ (cols @ rows)
+        tail = suffixes @ (cols @ rows)
         return np.einsum("kab,kba->k", head, tail)
 
     return prefixes[-1], vjp
@@ -355,11 +353,8 @@ def propagate_with_jacobian(
     The transfer matrix is the last prefix, bit for bit the channel that
     ScenarioEvaluator.pulse_value_and_gradient evaluates.
     """
-    factors, frechet = _slot_frechet_exponentials(
-        g.matrix, control_matrix(h), p.dt, p.amplitudes
-    )
-    prefixes = _prefixes(factors)
-    return prefixes[-1], list(prefixes[:-1] @ frechet @ _suffixes(factors))
+    prefixes, frechet, suffixes = _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)
+    return prefixes[-1], list(prefixes[:-1] @ frechet @ suffixes)
 
 
 def is_unital(m: TransferMatrix, tol: float = 1e-10) -> bool:

@@ -193,7 +193,7 @@ class ScenarioEvaluator:
 
     def _transported_value(
         self, channel: TransferMatrix
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    ) -> tuple[FourVector, FourVector, float]:
         """Effects y_i = R @ channel @ x_i, checked, and their robustness."""
         y1 = self.resource @ (channel @ self._x1)
         y2 = self.resource @ (channel @ self._x2)
@@ -206,7 +206,7 @@ class ScenarioEvaluator:
                 raise InternalConsistencyError(
                     f"transported effect {e} is invalid; a transfer matrix is not positive"
                 )
-        return y1, y2, compat._robustness_tuples(e1.as_tuple(), e2.as_tuple(), self._b)
+        return e1, e2, compat._robustness_tuples(e1.as_tuple(), e2.as_tuple(), self._b)
 
     def channel_value(self, channel: TransferMatrix) -> float:
         """Robustness of the effects transported by a Heisenberg channel matrix."""
@@ -230,15 +230,15 @@ class ScenarioEvaluator:
         channel, vjp = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes
         )
-        y1, y2, value = self._transported_value(channel)
+        e1, e2, value = self._transported_value(channel)
         if not 0.0 < value < 0.5:
             return value, np.zeros(len(amplitudes))
         try:
-            g1, g2 = compat._gradient_at_root(y1, y2, self._b, value)
+            g1, g2 = compat._gradient_at_root(e1.as_tuple(), e2.as_tuple(), self._b, value)
         except (NotDifferentiableError, DegenerateRootError):
             return value, np.zeros(len(amplitudes))
         # df/dc_k = sum_i (R^T g_i) @ dM/dc_k @ x_i.
-        return value, vjp(np.stack([g1, g2]) @ self.resource, self._cols)
+        return value, vjp(np.array([g1, g2]) @ self.resource, self._cols)
 
 
 def steering_robustness(s: SteeringScenario, p: PulseSequence) -> float:

@@ -294,6 +294,52 @@ def test_unreadable_configs_are_usage_errors(tmp_path, capsys, name):
     assert "cannot read config" in capsys.readouterr().err
 
 
+#: An integer literal beyond the double range: the schema's "number" accepts
+#: it and the JSON read keeps it as a Python int.
+HUGE = 10**400
+
+OVERFLOWING_CONFIGS = {
+    "optimize/T": ("optimize", {"scenario": AD_SCENARIO, "optimize": {"T": HUGE}}),
+    "scenario/drift/gamma": (
+        "check",
+        {
+            "scenario": {
+                "measurements": XZ_MEASUREMENTS,
+                "drift": {"kind": "amplitude_damping", "gamma": HUGE},
+            }
+        },
+    ),
+    "landscape/t_drift": (
+        "landscape",
+        {"scenario": AD_SCENARIO, "landscape": {**landscape_block(), "t_drift": HUGE}},
+    ),
+    "landscape/c1/max": (
+        "landscape",
+        {"scenario": AD_SCENARIO, "landscape": landscape_block(c1_max=HUGE)},
+    ),
+    "sweep/t_grid/1": (
+        "sweep",
+        {"scenario": AD_SCENARIO, "sweep": {"t_grid": [1.0, HUGE], "include_control": False}},
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVERFLOWING_CONFIGS))
+def test_integer_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, field):
+    command, payload = OVERFLOWING_CONFIGS[field]
+    assert run_cli(command, write_config(tmp_path, payload), tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and field in err and "too large for a float" in err
+
+
+def test_integer_fields_keep_values_beyond_the_double_range(tmp_path):
+    # seed is used as an int and never becomes a float, so a huge seed runs
+    # as it did before the overflow check.
+    optimize = {"T": 1.0, "m": 2, "n_starts": 1, "seed": HUGE, "max_iters": 2}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "optimize": optimize})
+    assert run_cli("optimize", config, tmp_path / "r") == 0
+
+
 def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1}
     assert main(["check", "--config", write_config(tmp_path, payload)]) == 2

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,8 +30,19 @@ from steerctl import (
     sharp_effect,
 )
 from steerctl import compat
-from steerctl.compat import _BISECT_WIDTH, _RADICAND_TOL, _SCAN_POINTS, COMPAT_TOL
-from steerctl.errors import InvalidEffectError, NoiseInsufficientError
+from steerctl.compat import (
+    _BISECT_WIDTH,
+    _DEGENERATE_TOL,
+    _RADICAND_TOL,
+    _SCAN_POINTS,
+    _UNSHARP_TOL,
+    COMPAT_TOL,
+)
+from steerctl.errors import (
+    DegenerateRootError,
+    InvalidEffectError,
+    NoiseInsufficientError,
+)
 
 X = sharp_effect([1.0, 0.0, 0.0])
 Z = sharp_effect([0.0, 0.0, 1.0])
@@ -329,3 +340,146 @@ def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
     # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
     # every path alike; compatible ones return 0.0 alike.
     assert_roots_agree(x1, x2, b)
+
+
+# --- the implicit gradient before it ran on Python floats --------------------
+# A verbatim copy of the numpy path as it stood when the Minkowski forms were
+# 4-element dot products.  Those dots went through BLAS, whose kernels round
+# in their own order, so the float routine matches it only to rounding.
+
+_ETA = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _noise_map(x, lam, p):
+    y = (1.0 - lam) * np.asarray(x, dtype=float)
+    y[0] += 2.0 * lam * p
+    return y
+
+
+def _c_gradients(y1, y2):
+    y1p = np.array([2.0 - y1[0], -y1[1], -y1[2], -y1[3]])
+    y2p = np.array([2.0 - y2[0], -y2[1], -y2[2], -y2[3]])
+    e1, e1p, e2, e2p = _ETA * y1, _ETA * y1p, _ETA * y2, _ETA * y2p
+    n1 = float(e1 @ y1)
+    n1p = float(e1p @ y1p)
+    n2 = float(e2 @ y2)
+    n2p = float(e2p @ y2p)
+    m11p = float(e1 @ y1p)
+    m22p = float(e2 @ y2p)
+    m12p = float(e1 @ y2p)
+    m1p2 = float(e1p @ y2)
+    m12 = float(e1 @ y2)
+    m1p2p = float(e1p @ y2p)
+    s = math.sqrt(n1 * n1p * n2 * n2p)
+    d_y1 = (n1p * n2 * n2p / s) * e1 - m22p * e1p + m1p2 * e2p + m1p2p * e2
+    d_y1p = (n1 * n2 * n2p / s) * e1p - m22p * e1 + m12p * e2 + m12 * e2p
+    d_y2 = (n1 * n1p * n2p / s) * e2 - m11p * e2p + m12p * e1p + m1p2p * e1
+    d_y2p = (n1 * n1p * n2 / s) * e2p - m11p * e2 + m1p2 * e1 + m12 * e1p
+    return d_y1 - d_y1p, d_y2 - d_y2p
+
+
+def old_gradient_at_root(x1, x2, b, lam):
+    p = 0.5 * (1.0 + b)
+    y1 = _noise_map(x1, lam, p)
+    y2 = _noise_map(x2, lam, p)
+    for y in (y1, y2):
+        n = y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
+        t = 2.0 - y[0]
+        npp = t * t - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
+        if n <= _UNSHARP_TOL or npp <= _UNSHARP_TOL:
+            raise NotDifferentiableError(
+                "a noisy effect at the root is sharp; the square root in C is not differentiable"
+            )
+    g1, g2 = _c_gradients(y1, y2)
+    u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
+    u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
+    dc_dlam = float(g1 @ u1 + g2 @ u2)
+    if abs(dc_dlam) < _DEGENERATE_TOL:
+        raise DegenerateRootError(
+            f"dC/dlam = {dc_dlam:.3e} at the root; implicit differentiation is ill-posed"
+        )
+    scale = -(1.0 - lam) / dc_dlam
+    return scale * g1, scale * g2
+
+
+def noisy_norms(x1, x2, b, lam):
+    """Minkowski norms of both noisy effects and of their complements."""
+    norms = []
+    for y in (_noise_map(x1, lam, 0.5 * (1.0 + b)), _noise_map(x2, lam, 0.5 * (1.0 + b))):
+        t = 2.0 - y[0]
+        norms.append(y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3])
+        norms.append(t * t - y[1] * y[1] - y[2] * y[2] - y[3] * y[3])
+    return norms
+
+
+def near(value, threshold):
+    return abs(value - threshold) <= 1e-6 * threshold
+
+
+def near_a_threshold(x1, x2, b, lam):
+    """True if a sharpness or degeneracy test of the reference is a near tie."""
+    norms = noisy_norms(x1, x2, b, lam)
+    if any(near(n, _UNSHARP_TOL) for n in norms):
+        return True
+    if min(norms) <= _UNSHARP_TOL:
+        return False
+    p = 0.5 * (1.0 + b)
+    g1, g2 = _c_gradients(_noise_map(x1, lam, p), _noise_map(x2, lam, p))
+    u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
+    u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
+    return near(abs(float(g1 @ u1 + g2 @ u2)), _DEGENERATE_TOL)
+
+
+def gradient_outcome(f, x1, x2, b, lam):
+    """The gradient as one array of eight floats, or the type of the raised error."""
+    try:
+        return np.concatenate([np.asarray(g, dtype=float) for g in f(x1, x2, b, lam)])
+    except (NotDifferentiableError, DegenerateRootError) as exc:
+        return type(exc)
+
+
+sharp_effects = st.builds(
+    lambda theta, phi: sharp_effect(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    ),
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    x1=st.one_of(effects, sharp_effects),
+    x2=st.one_of(effects, sharp_effects),
+    b=st.floats(-0.9, 0.9),
+    lam=st.one_of(st.none(), st.floats(0.0, 0.5)),
+)
+@example(x1=TRIVIAL, x2=TRIVIAL, b=0.0, lam=0.25)  # dC/dlam is exactly zero
+@example(x1=X, x2=Z, b=0.0, lam=0.0)  # both noisy effects are sharp
+def test_float_gradient_matches_the_numpy_reference(x1, x2, b, lam):
+    # lam None puts the pair at its own root, where the optimizer evaluates
+    # the gradient; a drawn lam exercises the same formula anywhere.
+    if lam is None:
+        lam = robustness(x1, x2, b)
+        assume(0.0 < lam < 0.5)
+    t1, t2 = x1.as_tuple(), x2.as_tuple()
+    assume(not near_a_threshold(t1, t2, b, lam))
+    ref = gradient_outcome(old_gradient_at_root, x1.as_array(), x2.as_array(), b, lam)
+    got = gradient_outcome(compat._gradient_at_root, t1, t2, b, lam)
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert not isinstance(got, type), got
+    # Both routines form each Minkowski norm by cancellation, so as a noisy
+    # effect nears sharpness (norm -> 0) their last-bit differences grow
+    # like 1/norm.  Down to a norm of 1e-3 the bound is 1e-12 relative.
+    conditioning = max(1.0, 1e-3 / min(noisy_norms(t1, t2, b, lam)))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)) * conditioning
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(x=st.one_of(effects, sharp_effects), lam=st.floats(0.0, 1.0), b=st.floats(-0.99, 0.99))
+def test_apply_noise_is_bit_identical_to_the_numpy_noise_map(x, lam, b):
+    got = apply_noise(x, NoiseParams(lam, b)).as_tuple()
+    ref = _noise_map(x.as_array(), lam, 0.5 * (1.0 + b)).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in ref]

@@ -22,6 +22,7 @@ from steerctl import (
     propagate_schrodinger,
     propagate_with_jacobian,
 )
+from steerctl.lindblad import _prefixes, _slot_generators, _slot_scans
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -423,3 +424,28 @@ def test_propagate_with_jacobian_is_consistent():
     total, jac = propagate_with_jacobian(g, h, p)
     assert np.allclose(total, propagate(g, h, p), atol=1e-12)
     assert len(jac) == p.m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16, 17, 20, 32, 33])
+def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
+    rng = np.random.default_rng(38)
+    g = DriftGenerator.amplitude_damping(0.1)
+    h = ControlHamiltonian((0.0, 1.0, 1.0))
+    l0, k, dt = g.matrix, control_matrix(h), 1.4 / m
+    amps = tuple(rng.uniform(-15.0, 15.0, size=m))
+    prefixes, frechet, suffixes = _slot_scans(l0, k, dt, amps)
+    factors, ref_frechet = expm_frechet(_slot_generators(l0, k, dt, amps), dt * k)
+    forward = _prefixes(factors)
+    backward = _prefixes(factors[::-1].transpose(0, 2, 1))
+    assert frechet.tobytes() == ref_frechet.tobytes()
+    assert prefixes.tobytes() == forward.tobytes()
+    # S_k = E_{k+1}...E_m is the transpose of the product of the last m - k
+    # reversed, transposed factors.
+    ref_suffixes = backward[m - 1 :: -1].transpose(0, 2, 1)
+    assert suffixes.shape == (m, 4, 4)
+    assert suffixes.tobytes() == ref_suffixes.tobytes()
+    total, jac = propagate_with_jacobian(g, h, PulseSequence(dt, amps))
+    assert total.tobytes() == forward[-1].tobytes()
+    assert len(jac) == m
+    for j in range(m):
+        assert jac[j].tobytes() == (forward[j] @ ref_frechet[j] @ ref_suffixes[j]).tobytes()
