@@ -7,8 +7,6 @@ exact gradients end to end.
 """
 
 from .compat import (
-    NoiseParams,
-    apply_noise,
     c_functional,
     is_jointly_measurable,
     robustness,
@@ -41,7 +39,6 @@ from .lindblad import (
     control_matrix,
     expm,
     expm_frechet,
-    is_unital,
     pauli_transfer_matrix,
     propagate,
     propagate_schrodinger,
@@ -50,19 +47,12 @@ from .lindblad import (
 from .qubit_algebra import (
     BipartiteState,
     FourVector,
-    HermitianMatrix2,
-    complement,
-    effect_from_matrix,
-    effect_to_matrix,
-    minkowski,
     sharp_effect,
     validate_effect,
 )
 from .steering import (
-    Assemblage,
     ScenarioEvaluator,
     SteeringScenario,
-    assemblage,
     bob_marginal,
     resource_map,
     steering_robustness,
@@ -72,18 +62,15 @@ from .steering import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assemblage",
     "BipartiteState",
     "ControlHamiltonian",
     "DegenerateRootError",
     "DriftGenerator",
     "FourVector",
-    "HermitianMatrix2",
     "InternalConsistencyError",
     "InvalidEffectError",
     "LandscapeGrid",
     "NoiseInsufficientError",
-    "NoiseParams",
     "NotDifferentiableError",
     "OptimizeConfig",
     "OptimizeResult",
@@ -94,20 +81,13 @@ __all__ = [
     "SweepPoint",
     "TransferMatrix",
     "UnsupportedStateError",
-    "apply_noise",
-    "assemblage",
     "bob_marginal",
     "c_functional",
-    "complement",
     "control_matrix",
-    "effect_from_matrix",
-    "effect_to_matrix",
     "expm",
     "expm_frechet",
     "is_jointly_measurable",
-    "is_unital",
     "landscape",
-    "minkowski",
     "naive_optimize",
     "optimize",
     "pauli_transfer_matrix",

@@ -198,7 +198,6 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "seed": {"type": "integer"},
                 "max_iters": {"type": "integer", "minimum": 1},
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "include_zero_start": {"type": "boolean"},
             },
             "required": ["T"],
             "additionalProperties": False,
@@ -290,11 +289,15 @@ def _parse_drift(block: dict[str, Any] | None) -> DriftGenerator | None:
     return DriftGenerator(block["matrix"])
 
 
-def _parse_axis(block: dict[str, Any]) -> np.ndarray:
-    lo, hi, step = block["min"], block["max"], block["step"]
+def _parse_axis(block: dict[str, Any], path: str) -> np.ndarray:
+    # Floats, so that an overflowing span reads inf instead of raising.
+    lo, hi, step = (float(block[key]) for key in ("min", "max", "step"))
     if hi < lo:
-        raise ValueError(f"axis max {hi} below min {lo}")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        raise ValueError(f"{path}: axis max {hi} below min {lo}")
+    span = (hi - lo) / step
+    if not np.isfinite(span):
+        raise ValueError(f"{path}: the cell count (max - min) / step is not finite")
+    n = int(np.floor(span + 1e-9)) + 1
     return lo + step * np.arange(n)
 
 
@@ -376,8 +379,8 @@ def _build_run_config(
         landscape_params = (
             t_drift,
             horizon,
-            _parse_axis(land_block["c1"]),
-            _parse_axis(land_block["c2"]),
+            _parse_axis(land_block["c1"], "landscape/c1"),
+            _parse_axis(land_block["c2"], "landscape/c2"),
         )
 
     sweep_block = raw.get("sweep")

@@ -27,7 +27,6 @@ BLAS dot, so their bits do not depend on the host's BLAS kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateRootError,
@@ -58,29 +57,6 @@ _UNSHARP_TOL = 1e-9
 
 #: |dC/dlam| below this at the root counts as a degenerate root.
 _DEGENERATE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Classical noise with mixing weight lam in [0,1] and bias b in (-1,1)."""
-
-    lam: float
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        lam = float(self.lam)
-        b = float(self.b)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-        if not -1.0 < b < 1.0:
-            raise ValueError(f"bias must lie in (-1, 1), got {b!r}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def p(self) -> float:
-        """Outcome probability (1 + b)/2 of the noise coin."""
-        return 0.5 * (1.0 + self.b)
 
 
 def _pair_scalars(
@@ -122,12 +98,6 @@ def c_functional(x1: FourVector, x2: FourVector) -> float:
 def is_jointly_measurable(x1: FourVector, x2: FourVector) -> bool:
     """True iff c_functional(x1, x2) >= -1e-12."""
     return c_functional(x1, x2) >= -COMPAT_TOL
-
-
-def apply_noise(x: FourVector, n: NoiseParams) -> FourVector:
-    """Mix an effect with classical noise: scale by 1 - lam, then shift x0 by 2*lam*p."""
-    u = 1.0 - n.lam
-    return FourVector(u * x.x0 + 2.0 * n.lam * n.p, u * x.x1, u * x.x2, u * x.x3)
 
 
 def _smallest_root(

@@ -17,6 +17,7 @@ serial runs return identical results.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -48,7 +49,6 @@ class OptimizeConfig:
     seed: int = 0
     max_iters: int = 200
     grad_tol: float = 1e-6
-    include_zero_start: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", float(self.T))
@@ -59,7 +59,11 @@ class OptimizeConfig:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "grad_tol", float(self.grad_tol))
-        object.__setattr__(self, "include_zero_start", bool(self.include_zero_start))
+        # m and n_starts size tuples, arrays and ranges, none of which can be
+        # longer than sys.maxsize.
+        for name in ("m", "n_starts"):
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must be <= {sys.maxsize}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not 0.0 < self.T < np.inf:
@@ -84,10 +88,10 @@ class OptimizeResult:
     """Best pulse over all starts, with per-start diagnostics.
 
     start_values holds the final steering robustness of each start, the zero
-    start (when included) first.  For the direct optimizer best_value is
-    their maximum; the naive baseline instead picks the start with the
-    smallest distance-to-identity, so its best_value is the robustness of
-    that distinguished pulse.
+    start first.  For the direct optimizer best_value is their maximum; the
+    naive baseline instead picks the start with the smallest
+    distance-to-identity, so its best_value is the robustness of that
+    distinguished pulse.
     """
 
     best_pulse: PulseSequence
@@ -280,7 +284,7 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
     evaluator = ScenarioEvaluator(s)
     dt = cfg.dt
     baseline = evaluator.pulse_value(dt, (0.0,) * cfg.m)
-    indices = ([-1] if cfg.include_zero_start else []) + list(range(cfg.n_starts))
+    indices = [-1] + list(range(cfg.n_starts))
     workers = _worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -355,11 +355,3 @@ def propagate_with_jacobian(
     """
     prefixes, frechet, suffixes = _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)
     return prefixes[-1], list(prefixes[:-1] @ frechet @ suffixes)
-
-
-def is_unital(m: TransferMatrix, tol: float = 1e-10) -> bool:
-    """True iff the transfer matrix fixes the identity effect (2,0,0,0)."""
-    m = np.asarray(m, dtype=float)
-    return bool(
-        abs(m[0, 0] - 1.0) <= tol and np.max(np.abs(m[1:, 0])) <= tol
-    )

@@ -30,12 +30,7 @@ PAULI_BASIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 #: Tolerance on Minkowski norms when deciding effect validity.
 EFFECT_TOL = 1e-10
 
-_HERMITIAN_TOL = 1e-12
 _STATE_TOL = 1e-10
-
-# 2x2 Hermitian matrices and 4x4 real transfer matrices are plain ndarrays;
-# these aliases only name the roles they play in signatures.
-HermitianMatrix2 = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,42 +60,6 @@ class FourVector:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x0, self.x1, self.x2, self.x3)
-
-
-def minkowski(x: FourVector, y: FourVector) -> float:
-    """Minkowski form <x|y> = x0*y0 - x1*y1 - x2*y2 - x3*y3."""
-    return x.x0 * y.x0 - x.x1 * y.x1 - x.x2 * y.x2 - x.x3 * y.x3
-
-
-def complement(x: FourVector) -> FourVector:
-    """4-vector of Id - A: (2 - x0, -x1, -x2, -x3).  An involution."""
-    return FourVector(2.0 - x.x0, -x.x1, -x.x2, -x.x3)
-
-
-def effect_to_matrix(x: FourVector) -> HermitianMatrix2:
-    """Hermitian 2x2 form (x0*Id + x.sigma)/2 of the effect."""
-    return 0.5 * (
-        x.x0 * SIGMA_0 + x.x1 * SIGMA_X + x.x2 * SIGMA_Y + x.x3 * SIGMA_Z
-    )
-
-
-def effect_from_matrix(a: HermitianMatrix2) -> FourVector:
-    """Pauli coefficients x0 = tr(A), xk = tr(A sigma_k) of a Hermitian A.
-
-    Raises:
-        InvalidEffectError: if A is not Hermitian within 1e-12 or not 2x2.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise InvalidEffectError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > _HERMITIAN_TOL:
-        raise InvalidEffectError("matrix is not Hermitian within tolerance")
-    return FourVector(
-        float(np.trace(a).real),
-        float(np.trace(a @ SIGMA_X).real),
-        float(np.trace(a @ SIGMA_Y).real),
-        float(np.trace(a @ SIGMA_Z).real),
-    )
 
 
 def validate_effect(x: FourVector, tol: float = EFFECT_TOL) -> bool:

@@ -42,22 +42,13 @@ from .lindblad import (
     control_matrix,
     pauli_transfer_matrix,
 )
-from .qubit_algebra import (
-    BipartiteState,
-    FourVector,
-    HermitianMatrix2,
-    complement,
-    effect_to_matrix,
-    validate_effect,
-)
+from .qubit_algebra import BipartiteState, FourVector, validate_effect
 
 #: Bob marginals with an eigenvalue below this are treated as rank-deficient.
 _RANK_TOL = 1e-12
 
-_ASSEMBLAGE_TOL = 1e-10
 
-
-def bob_marginal(rho: BipartiteState) -> HermitianMatrix2:
+def bob_marginal(rho: BipartiteState) -> np.ndarray:
     """Bob's reduced state: partial trace of rho over Alice's factor."""
     r4 = rho.matrix.reshape(2, 2, 2, 2)
     return np.einsum("abad->bd", r4)
@@ -67,53 +58,6 @@ def _trace_out_alice(rho: BipartiteState, x: np.ndarray) -> np.ndarray:
     """tr_A[rho (X (x) Id)] for a 2x2 matrix X on Alice's side."""
     r4 = rho.matrix.reshape(2, 2, 2, 2)
     return np.einsum("abcd,ca->bd", r4, x)
-
-
-@dataclass(frozen=True, eq=False)
-class Assemblage:
-    """Conditional states sigma_{a|i} indexed [measurement, outcome, :, :].
-
-    Outcome 0 is the effect itself, outcome 1 its complement.  Both
-    measurements sum to the same marginal, which each does by construction.
-    """
-
-    conditionals: np.ndarray
-
-    def __post_init__(self) -> None:
-        sig = np.asarray(self.conditionals, dtype=complex)
-        if sig.shape != (2, 2, 2, 2):
-            raise ValueError(f"expected shape (2, 2, 2, 2), got {sig.shape}")
-        for i in range(2):
-            for a in range(2):
-                block = sig[i, a]
-                if np.max(np.abs(block - block.conj().T)) > _ASSEMBLAGE_TOL:
-                    raise ValueError(f"sigma_{'+-'[a]}|{i + 1} is not Hermitian")
-                if np.linalg.eigvalsh(block)[0] < -_ASSEMBLAGE_TOL:
-                    raise ValueError(f"sigma_{'+-'[a]}|{i + 1} is not PSD")
-        sums = sig.sum(axis=1)
-        if np.max(np.abs(sums[0] - sums[1])) > _ASSEMBLAGE_TOL:
-            raise ValueError("the two measurements do not share a marginal")
-        sig = sig.copy()
-        sig.setflags(write=False)
-        object.__setattr__(self, "conditionals", sig)
-
-    def conditional(self, i: int, a: int) -> np.ndarray:
-        return self.conditionals[i, a]
-
-    @property
-    def marginal(self) -> np.ndarray:
-        return self.conditionals[0].sum(axis=0)
-
-
-def assemblage(rho: BipartiteState, x1: FourVector, x2: FourVector) -> Assemblage:
-    """Conditional states tr_A[rho (A (x) Id)] for both outcomes of both effects."""
-    blocks = np.empty((2, 2, 2, 2), dtype=complex)
-    for i, x in enumerate((x1, x2)):
-        if not validate_effect(x):
-            raise InvalidEffectError(f"measurement {i + 1} is not a valid effect")
-        blocks[i, 0] = _trace_out_alice(rho, effect_to_matrix(x))
-        blocks[i, 1] = _trace_out_alice(rho, effect_to_matrix(complement(x)))
-    return Assemblage(blocks)
 
 
 def resource_map(rho: BipartiteState) -> TransferMatrix:

@@ -28,6 +28,52 @@ SQRT2 = float(np.sqrt(2.0))
 #: Robustness of a sharp pair along orthogonal Bloch axes, unbiased noise.
 SHARP_PAIR_VALUE = 1.0 - 1.0 / SQRT2
 
+#: Identity and Pauli matrices in the package's basis order.
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def complement(x: FourVector) -> FourVector:
+    """4-vector of Id - A: (2 - x0, -x1, -x2, -x3)."""
+    return FourVector(2.0 - x.x0, -x.x1, -x.x2, -x.x3)
+
+
+def effect_to_matrix(x: FourVector) -> np.ndarray:
+    """Hermitian 2x2 form (x0*Id + x.sigma)/2 of an effect."""
+    return 0.5 * sum(c * p for c, p in zip(x.as_tuple(), PAULIS))
+
+
+def noisy(x: FourVector, lam: float, b: float) -> FourVector:
+    """x mixed with bias-b classical noise at weight lam.
+
+    Scales x by 1 - lam, then shifts x0 by 2*lam*p with p = (1 + b)/2.
+    """
+    u = 1.0 - lam
+    shift = 2.0 * lam * (0.5 * (1.0 + b))
+    return FourVector(u * x.x0 + shift, u * x.x1, u * x.x2, u * x.x3)
+
+
+def conditional_states(rho: BipartiteState, x1: FourVector, x2: FourVector) -> np.ndarray:
+    """Assemblage tr_A[rho (A (x) Id)] indexed [measurement, outcome, :, :].
+
+    Outcome 0 is the effect itself, outcome 1 its complement.
+    """
+    out = np.empty((2, 2, 2, 2), dtype=complex)
+    for i, x in enumerate((x1, x2)):
+        for a, y in enumerate((x, complement(x))):
+            product = rho.matrix @ np.kron(effect_to_matrix(y), np.eye(2))
+            out[i, a] = np.einsum("abad->bd", product.reshape(2, 2, 2, 2))
+    return out
+
+
+def is_unital(m: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff a Heisenberg transfer matrix fixes the identity effect (2, 0, 0, 0)."""
+    return bool(abs(m[0, 0] - 1.0) <= tol and np.max(np.abs(m[1:, 0])) <= tol)
+
 
 def random_effect(rng: np.random.Generator, floor: float = 0.05, ceil: float = 0.95) -> FourVector:
     """Valid effect with both Minkowski norms bounded away from zero.
@@ -142,17 +188,11 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray, floor: fl
 
 def choi_matrix(transfer_schrodinger: np.ndarray) -> np.ndarray:
     """Choi matrix of the Schrodinger-picture map given by a transfer matrix."""
-    paulis = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
 
     def apply(mat: np.ndarray) -> np.ndarray:
-        coeffs = np.array([np.trace(p @ mat) for p in paulis])
+        coeffs = np.array([np.trace(p @ mat) for p in PAULIS])
         out_coeffs = transfer_schrodinger @ coeffs
-        return 0.5 * sum(c * p for c, p in zip(out_coeffs, paulis))
+        return 0.5 * sum(c * p for c, p in zip(out_coeffs, PAULIS))
 
     choi = np.zeros((4, 4), dtype=complex)
     for a in range(2):

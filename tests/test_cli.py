@@ -340,11 +340,40 @@ def test_integer_fields_keep_values_beyond_the_double_range(tmp_path):
     assert run_cli("optimize", config, tmp_path / "r") == 0
 
 
+@pytest.mark.parametrize("field", ["m", "n_starts"])
+def test_size_fields_beyond_an_index_are_usage_errors(tmp_path, capsys, field):
+    # Rejected when the config is built, before anything of that size exists.
+    optimize = {"T": 1.0, "m": 2, "n_starts": 1, field: 10**30}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "optimize": optimize})
+    assert run_cli("optimize", config, tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and field in err
+
+
+OVERFLOWING_AXES = {
+    "tiny-step": {"min": 0.0, "max": 1.0, "step": 1e-320},
+    "huge-span": {"min": -1e308, "max": 1e308, "step": 1.0},
+    "huge-integer-span": {"min": -10**308, "max": 10**308, "step": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_AXES))
+def test_axis_with_an_overflowing_cell_count_is_a_usage_error(tmp_path, capsys, name):
+    land = {**landscape_block(), "c1": OVERFLOWING_AXES[name]}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "landscape": land})
+    assert run_cli("landscape", config, tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "landscape/c1" in err
+
+
 def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1}
     assert main(["check", "--config", write_config(tmp_path, payload)]) == 2
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS, "mystery": True}}
     assert main(["check", "--config", write_config(tmp_path, payload, "c2.json")]) == 2
+    # the zero start always runs; no config key turns it off
+    payload = {"scenario": AD_SCENARIO, "optimize": {"T": 1.0, "include_zero_start": True}}
+    assert main(["optimize", "--config", write_config(tmp_path, payload, "c3.json")]) == 2
 
 
 def test_missing_required_section_is_a_usage_error(tmp_path):

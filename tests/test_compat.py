@@ -12,18 +12,17 @@ from conftest import (
     SHARP_PAIR_VALUE,
     SQRT2,
     central_difference,
+    complement,
     effects,
+    noisy,
     random_effect,
     random_incompatible_pair,
     relative_gradient_error,
 )
 from steerctl import (
     FourVector,
-    NoiseParams,
     NotDifferentiableError,
-    apply_noise,
     c_functional,
-    complement,
     is_jointly_measurable,
     robustness,
     robustness_gradient,
@@ -83,43 +82,13 @@ def test_joint_measurability_decision():
     assert not is_jointly_measurable(shrunk([1, 0, 0], 0.72), shrunk([0, 0, 1], 0.72))
 
 
-def test_noise_params_validation():
-    assert NoiseParams(0.3, 0.5).p == pytest.approx(0.75)
-    assert NoiseParams(0.0, 0.0).p == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        NoiseParams(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        NoiseParams(1.1, 0.0)
-    with pytest.raises(ValueError):
-        NoiseParams(0.2, 1.0)
-    with pytest.raises(ValueError):
-        NoiseParams(0.2, -1.0)
-
-
-def test_apply_noise_endpoints_and_components():
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        x = random_effect(rng)
-        lam = rng.uniform(0.0, 1.0)
-        b = rng.uniform(-0.9, 0.9)
-        noise = NoiseParams(lam, b)
-        y = apply_noise(x, noise)
-        assert y.x0 == pytest.approx((1.0 - lam) * x.x0 + 2.0 * lam * noise.p, abs=1e-14)
-        for got, orig in ((y.x1, x.x1), (y.x2, x.x2), (y.x3, x.x3)):
-            assert got == pytest.approx((1.0 - lam) * orig, abs=1e-14)
-    x = random_effect(rng)
-    assert apply_noise(x, NoiseParams(0.0, 0.3)) == x
-    full = apply_noise(x, NoiseParams(1.0, 0.3))
-    assert full.as_array() == pytest.approx([2.0 * 0.65, 0.0, 0.0, 0.0], abs=1e-15)
-
-
 def test_noise_mixing_preserves_validity():
     from steerctl import validate_effect
 
     rng = np.random.default_rng(23)
     for _ in range(50):
         x = random_effect(rng, floor=0.3, ceil=0.999)
-        y = apply_noise(x, NoiseParams(rng.uniform(0, 1), rng.uniform(-0.95, 0.95)))
+        y = noisy(x, rng.uniform(0, 1), rng.uniform(-0.95, 0.95))
         assert validate_effect(y)
 
 
@@ -158,12 +127,10 @@ def test_robustness_root_actually_crosses_zero():
         x1, x2 = random_incompatible_pair(rng)
         b = rng.uniform(-0.5, 0.5)
         lam = robustness(x1, x2, b)
-        noisy = lambda l: c_functional(
-            apply_noise(x1, NoiseParams(l, b)), apply_noise(x2, NoiseParams(l, b))
-        )
-        assert abs(noisy(lam)) < 1e-9
-        assert noisy(max(lam - 1e-6, 0.0)) < 0.0
-        assert noisy(min(lam + 1e-6, 0.5)) > -1e-12
+        c_at = lambda l: c_functional(noisy(x1, l, b), noisy(x2, l, b))
+        assert abs(c_at(lam)) < 1e-9
+        assert c_at(max(lam - 1e-6, 0.0)) < 0.0
+        assert c_at(min(lam + 1e-6, 0.5)) > -1e-12
 
 
 @settings(**PROPERTY_SETTINGS)
@@ -176,8 +143,7 @@ def test_robustness_is_the_first_root(x1, x2, b):
     assume(not is_jointly_measurable(x1, x2))
     lam = robustness(x1, x2, b)
     for l in np.linspace(0.0, lam - 1e-9, 2001):
-        noise = NoiseParams(l, b)
-        assert c_functional(apply_noise(x1, noise), apply_noise(x2, noise)) < 0.0, l
+        assert c_functional(noisy(x1, l, b), noisy(x2, l, b)) < 0.0, l
 
 
 def test_robustness_monotone_under_pre_mixing():
@@ -187,8 +153,7 @@ def test_robustness_monotone_under_pre_mixing():
         x1, x2 = random_incompatible_pair(rng)
         base = robustness(x1, x2)
         lam0 = rng.uniform(0.0, 0.4)
-        noise = NoiseParams(lam0, 0.0)
-        pre = robustness(apply_noise(x1, noise), apply_noise(x2, noise))
+        pre = robustness(noisy(x1, lam0, 0.0), noisy(x2, lam0, 0.0))
         assert pre <= base + 1e-9
 
 
@@ -480,6 +445,8 @@ def test_float_gradient_matches_the_numpy_reference(x1, x2, b, lam):
 @settings(**PROPERTY_SETTINGS)
 @given(x=st.one_of(effects, sharp_effects), lam=st.floats(0.0, 1.0), b=st.floats(-0.99, 0.99))
 def test_apply_noise_is_bit_identical_to_the_numpy_noise_map(x, lam, b):
-    got = apply_noise(x, NoiseParams(lam, b)).as_tuple()
+    # The float noise map of the oracles here (conftest.noisy) and the numpy
+    # one of the gradient reference above agree bit for bit.
+    got = noisy(x, lam, b).as_tuple()
     ref = _noise_map(x.as_array(), lam, 0.5 * (1.0 + b)).tolist()
     assert [v.hex() for v in got] == [v.hex() for v in ref]

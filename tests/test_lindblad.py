@@ -8,7 +8,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_SETTINGS, ad_transfer, choi_matrix, controls, dp_transfer
+from conftest import (
+    PROPERTY_SETTINGS,
+    ad_transfer,
+    choi_matrix,
+    controls,
+    dp_transfer,
+    is_unital,
+)
 from steerctl import (
     ControlHamiltonian,
     DriftGenerator,
@@ -16,7 +23,6 @@ from steerctl import (
     control_matrix,
     expm,
     expm_frechet,
-    is_unital,
     pauli_transfer_matrix,
     propagate,
     propagate_schrodinger,
@@ -256,16 +262,6 @@ def test_propagated_channels_are_unital_and_completely_positive():
         assert np.linalg.eigvalsh(choi)[0] > -1e-10
         # trace preservation of the dual channel
         assert np.trace(choi).real == pytest.approx(2.0, abs=1e-10)
-
-
-def test_is_unital_detects_violations():
-    m = np.eye(4)
-    m[1, 0] = 0.1
-    assert not is_unital(m)
-    m2 = np.eye(4)
-    m2[0, 0] = 0.9
-    assert not is_unital(m2)
-    assert is_unital(np.eye(4))
 
 
 #: Kernel parity with scipy.linalg.expm on the program's slot stacks.

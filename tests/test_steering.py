@@ -1,4 +1,4 @@
-"""Assemblages, the state resource map, and the pulsed steering monotone."""
+"""The state resource map and the pulsed steering monotone."""
 
 import gc
 import weakref
@@ -13,10 +13,14 @@ from conftest import (
     SHARP_PAIR_VALUE,
     SQRT2,
     central_difference,
+    complement,
+    conditional_states,
     controls,
     dp_decay_value,
     drifts,
+    effect_to_matrix,
     effects,
+    is_unital,
     pulses,
     random_cptp_heisenberg,
     xz_scenario,
@@ -25,7 +29,6 @@ from conftest import (
     relative_gradient_error,
 )
 from steerctl import (
-    Assemblage,
     BipartiteState,
     ControlHamiltonian,
     DegenerateRootError,
@@ -38,11 +41,7 @@ from steerctl import (
     ScenarioEvaluator,
     SteeringScenario,
     UnsupportedStateError,
-    assemblage,
     bob_marginal,
-    complement,
-    effect_to_matrix,
-    is_unital,
     propagate,
     propagate_with_jacobian,
     resource_map,
@@ -69,43 +68,24 @@ def test_bob_marginal():
 
 def test_assemblage_on_the_max_entangled_state_transposes():
     x = FourVector(0.9, 0.3, -0.2, 0.4)
-    asm = assemblage(BipartiteState.max_entangled(), x, Z)
-    assert np.allclose(asm.conditional(0, 0), effect_to_matrix(x).T / 2.0, atol=1e-14)
-    assert np.allclose(asm.conditional(0, 1), effect_to_matrix(complement(x)).T / 2.0, atol=1e-14)
-    assert np.allclose(asm.marginal, np.eye(2) / 2.0, atol=1e-14)
+    sig = conditional_states(BipartiteState.max_entangled(), x, Z)
+    assert np.allclose(sig[0, 0], effect_to_matrix(x).T / 2.0, atol=1e-14)
+    assert np.allclose(sig[0, 1], effect_to_matrix(complement(x)).T / 2.0, atol=1e-14)
+    assert np.allclose(sig[0].sum(axis=0), np.eye(2) / 2.0, atol=1e-14)
 
 
 def test_assemblage_outcomes_sum_to_the_shared_marginal():
     rng = np.random.default_rng(41)
     for _ in range(15):
         state = random_state(rng)
-        asm = assemblage(state, random_effect(rng), random_effect(rng))
+        sig = conditional_states(state, random_effect(rng), random_effect(rng))
         marg = bob_marginal(state)
         for i in range(2):
-            total = asm.conditional(i, 0) + asm.conditional(i, 1)
+            total = sig[i, 0] + sig[i, 1]
             assert np.allclose(total, marg, atol=1e-12)
         for i in range(2):
             for a in range(2):
-                block = asm.conditional(i, a)
-                assert np.linalg.eigvalsh(block)[0] > -1e-12
-
-
-def test_assemblage_rejects_invalid_inputs():
-    bad = FourVector(1.0, 1.5, 0.0, 0.0)
-    with pytest.raises(InvalidEffectError):
-        assemblage(BipartiteState.max_entangled(), bad, Z)
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    blocks[0, 0] = np.diag([0.5, 0.5])
-    blocks[0, 1] = np.diag([0.5, 0.5])
-    blocks[1, 0] = np.diag([0.9, 0.1])
-    blocks[1, 1] = np.diag([0.2, 0.8])  # marginal mismatch
-    with pytest.raises(ValueError):
-        Assemblage(blocks)
-    blocks[1, 1] = np.diag([0.1, 0.9])
-    blocks[0, 0] = np.diag([1.0, -0.5])  # not PSD
-    blocks[0, 1] = np.diag([0.0, 1.5])
-    with pytest.raises(ValueError):
-        Assemblage(blocks)
+                assert np.linalg.eigvalsh(sig[i, a])[0] > -1e-12
 
 
 def test_resource_map_oracles():
@@ -135,7 +115,7 @@ def test_resource_map_reproduces_the_assemblage():
         flipped = np.array([x.x0, x.x1, -x.x2, x.x3])
         image = effect_to_matrix(FourVector.from_array(r @ flipped))
         rebuilt = sqrt_marg @ image @ sqrt_marg
-        direct = assemblage(state, x, x).conditional(0, 0)
+        direct = conditional_states(state, x, x)[0, 0]
         assert np.allclose(rebuilt, direct, atol=1e-12)
 
 
