@@ -47,190 +47,106 @@ from .steering import ScenarioEvaluator, SteeringScenario
 COMMANDS = ("check", "robustness", "evolve", "optimize", "naive", "landscape", "sweep")
 
 _NUMBER = {"type": "number"}
-_VEC3 = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
-_VEC4 = {"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4}
-_COMPLEX_ENTRY = {
-    "oneOf": [
-        _NUMBER,
-        {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-    ]
-}
-_COMPLEX_MATRIX4 = {
-    "type": "array",
-    "items": {"type": "array", "items": _COMPLEX_ENTRY, "minItems": 4, "maxItems": 4},
-    "minItems": 4,
-    "maxItems": 4,
-}
-_REAL_MATRIX4 = {
-    "type": "array",
-    "items": _VEC4,
-    "minItems": 4,
-    "maxItems": 4,
-}
-_AXIS = {
-    "type": "object",
-    "properties": {
-        "min": _NUMBER,
-        "max": _NUMBER,
-        "step": {"type": "number", "exclusiveMinimum": 0},
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+
+
+def _tuple(items: dict[str, Any], n: int) -> dict[str, Any]:
+    """A JSON array of exactly n entries, each matching items."""
+    return {"type": "array", "items": items, "minItems": n, "maxItems": n}
+
+
+def _object(required: dict[str, Any], optional: dict[str, Any] | None = None) -> dict[str, Any]:
+    """A JSON object with the required fields, the optional ones and no others."""
+    return {
+        "type": "object",
+        "properties": {**required, **(optional or {})},
+        "required": list(required),
+        "additionalProperties": False,
+    }
+
+
+def _kind(name: str, **fields: Any) -> dict[str, Any]:
+    """One alternative of a tagged section: "kind" equal to name, plus fields."""
+    return _object({"kind": {"const": name}, **fields})
+
+
+_VEC3 = _tuple(_NUMBER, 3)
+_VEC4 = _tuple(_NUMBER, 4)
+_COMPLEX_ENTRY = {"oneOf": [_NUMBER, _tuple(_NUMBER, 2)]}
+_AXIS = _object({"min": _NUMBER, "max": _NUMBER, "step": _POSITIVE})
+
+_SCENARIO = _object(
+    {
+        "measurements": {
+            "oneOf": [
+                _kind("bloch_axes", axes=_tuple(_VEC3, 2)),
+                _kind("four_vectors", x1=_VEC4, x2=_VEC4),
+            ]
+        }
     },
-    "required": ["min", "max", "step"],
-    "additionalProperties": False,
-}
+    {
+        "state": {
+            "oneOf": [
+                _kind("max_entangled"),
+                _kind("werner", v=_NUMBER),
+                _kind("explicit", matrix=_tuple(_tuple(_COMPLEX_ENTRY, 4), 4)),
+            ]
+        },
+        "drift": {
+            "oneOf": [
+                _object(
+                    {
+                        "kind": {"enum": ["amplitude_damping", "dephasing"]},
+                        "gamma": {"type": "number", "minimum": 0},
+                    }
+                ),
+                _kind("custom", matrix=_tuple(_VEC4, 4)),
+            ]
+        },
+        "control": _VEC3,
+        "bias": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
+    },
+)
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "scenario": {
-            "type": "object",
-            "properties": {
-                "state": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {"kind": {"const": "max_entangled"}},
-                            "required": ["kind"],
-                            "additionalProperties": False,
-                        },
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "werner"},
-                                "v": _NUMBER,
-                            },
-                            "required": ["kind", "v"],
-                            "additionalProperties": False,
-                        },
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "explicit"},
-                                "matrix": _COMPLEX_MATRIX4,
-                            },
-                            "required": ["kind", "matrix"],
-                            "additionalProperties": False,
-                        },
-                    ]
+    **_object(
+        {"scenario": _SCENARIO},
+        {
+            "command": {"enum": list(COMMANDS)},
+            "pulse": _object(
+                {"dt": _POSITIVE, "amplitudes": {"type": "array", "items": _NUMBER, "minItems": 1}}
+            ),
+            "optimize": _object(
+                {"T": _POSITIVE},
+                {
+                    "m": _COUNT,
+                    "amp_bounds": _tuple(_NUMBER, 2),
+                    "n_starts": _COUNT,
+                    "seed": {"type": "integer"},
+                    "max_iters": _COUNT,
                 },
-                "measurements": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "bloch_axes"},
-                                "axes": {
-                                    "type": "array",
-                                    "items": _VEC3,
-                                    "minItems": 2,
-                                    "maxItems": 2,
-                                },
-                            },
-                            "required": ["kind", "axes"],
-                            "additionalProperties": False,
-                        },
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "four_vectors"},
-                                "x1": _VEC4,
-                                "x2": _VEC4,
-                            },
-                            "required": ["kind", "x1", "x2"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-                "drift": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"enum": ["amplitude_damping", "dephasing"]},
-                                "gamma": {"type": "number", "minimum": 0},
-                            },
-                            "required": ["kind", "gamma"],
-                            "additionalProperties": False,
-                        },
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "custom"},
-                                "matrix": _REAL_MATRIX4,
-                            },
-                            "required": ["kind", "matrix"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-                "control": _VEC3,
-                "bias": {
-                    "type": "number",
-                    "exclusiveMinimum": -1,
-                    "exclusiveMaximum": 1,
-                },
-            },
-            "required": ["measurements"],
-            "additionalProperties": False,
+            ),
+            "landscape": _object(
+                {
+                    "t_drift": {"type": "number", "minimum": 0},
+                    "T": _POSITIVE,
+                    "c1": _AXIS,
+                    "c2": _AXIS,
+                }
+            ),
+            "sweep": _object(
+                {"t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1}},
+                {"include_control": {"type": "boolean"}},
+            ),
+            "output": {"type": "string"},
         },
-        "pulse": {
-            "type": "object",
-            "properties": {
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "amplitudes": {"type": "array", "items": _NUMBER, "minItems": 1},
-            },
-            "required": ["dt", "amplitudes"],
-            "additionalProperties": False,
-        },
-        "optimize": {
-            "type": "object",
-            "properties": {
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "m": {"type": "integer", "minimum": 1},
-                "amp_bounds": {
-                    "type": "array",
-                    "items": _NUMBER,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "n_starts": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["T"],
-            "additionalProperties": False,
-        },
-        "landscape": {
-            "type": "object",
-            "properties": {
-                "t_drift": {"type": "number", "minimum": 0},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "c1": _AXIS,
-                "c2": _AXIS,
-            },
-            "required": ["t_drift", "T", "c1", "c2"],
-            "additionalProperties": False,
-        },
-        "sweep": {
-            "type": "object",
-            "properties": {
-                "t_grid": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "include_control": {"type": "boolean"},
-            },
-            "required": ["t_grid"],
-            "additionalProperties": False,
-        },
-        "output": {"type": "string"},
-    },
-    "required": ["scenario"],
-    "additionalProperties": False,
+    ),
 }
+
+#: Built once: jsonschema.validate would check the schema itself on every run.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 @dataclass
@@ -289,6 +205,16 @@ def _parse_drift(block: dict[str, Any] | None) -> DriftGenerator | None:
     return DriftGenerator(block["matrix"])
 
 
+#: Cells allowed per landscape axis and per grid; the grid's values array
+#: then stays within 80 MB.
+_MAX_GRID_CELLS = 10**7
+
+
+def _check_cell_count(n: int, path: str) -> None:
+    if n > _MAX_GRID_CELLS:
+        raise ValueError(f"{path}: {n} cells exceed the limit of {_MAX_GRID_CELLS}")
+
+
 def _parse_axis(block: dict[str, Any], path: str) -> np.ndarray:
     # Floats, so that an overflowing span reads inf instead of raising.
     lo, hi, step = (float(block[key]) for key in ("min", "max", "step"))
@@ -298,6 +224,7 @@ def _parse_axis(block: dict[str, Any], path: str) -> np.ndarray:
     if not np.isfinite(span):
         raise ValueError(f"{path}: the cell count (max - min) / step is not finite")
     n = int(np.floor(span + 1e-9)) + 1
+    _check_cell_count(n, path)
     return lo + step * np.arange(n)
 
 
@@ -376,12 +303,10 @@ def _build_run_config(
         horizon = float(land_block["T"])
         if not t_drift < horizon:
             raise ValueError(f"landscape needs t_drift < T, got {t_drift} >= {horizon}")
-        landscape_params = (
-            t_drift,
-            horizon,
-            _parse_axis(land_block["c1"], "landscape/c1"),
-            _parse_axis(land_block["c2"], "landscape/c2"),
-        )
+        c1_axis = _parse_axis(land_block["c1"], "landscape/c1")
+        c2_axis = _parse_axis(land_block["c2"], "landscape/c2")
+        _check_cell_count(c1_axis.size * c2_axis.size, "landscape")
+        landscape_params = (t_drift, horizon, c1_axis, c2_axis)
 
     sweep_block = raw.get("sweep")
     sweep_params = None
@@ -567,7 +492,7 @@ def _cmd_sweep(rc: RunConfig) -> None:
         # Zero-pulse-only mode: just the uncontrolled column, so the CSV
         # carries only the columns that were actually computed.
         evaluator = ScenarioEvaluator(scenario)
-        m = rc.opt.m if rc.opt is not None else 20
+        m = rc.opt.m if rc.opt is not None else OptimizeConfig.m
         rows = [[t, evaluator.pulse_value(t / m, (0.0,) * m)] for t in t_grid]
         _write_csv(rc.out_prefix + ".csv", "T,uncontrolled", rows)
         best = max(r[1] for r in rows)
@@ -595,11 +520,11 @@ def run(
         # ValueError covers invalid JSON, invalid UTF-8 and non-finite numbers.
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        print(f"error: config schema violation at {location}: {exc.message}", file=sys.stderr)
+    # best_match picks the error jsonschema.validate would raise.
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        location = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        print(f"error: config schema violation at {location}: {error.message}", file=sys.stderr)
         return 2
     if command is None:
         command = raw.get("command")

@@ -37,6 +37,10 @@ _FLAT_RESTARTS = 8
 #: root-finder resolution cannot be trusted, so iteration stops there.
 _FTOL = 1e-12
 
+#: Bound on the max-norm of the projected gradient passed to L-BFGS-B, so
+#: boundary points with an outward-pointing gradient terminate correctly.
+_GTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizeConfig:
@@ -48,7 +52,6 @@ class OptimizeConfig:
     n_starts: int = 100
     seed: int = 0
     max_iters: int = 200
-    grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", float(self.T))
@@ -58,7 +61,6 @@ class OptimizeConfig:
         object.__setattr__(self, "n_starts", int(self.n_starts))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "grad_tol", float(self.grad_tol))
         # m and n_starts size tuples, arrays and ranges, none of which can be
         # longer than sys.maxsize.
         for name in ("m", "n_starts"):
@@ -75,8 +77,6 @@ class OptimizeConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be > 0")
 
     @property
     def dt(self) -> float:
@@ -186,12 +186,8 @@ class _Descent:
     iterations: int
 
 
-def _descend(fun_and_grad, x0, bounds, max_iters, grad_tol) -> _Descent:
-    """Bounded L-BFGS-B minimization from x0 clipped into the box.
-
-    grad_tol bounds the max-norm of the projected gradient, so boundary
-    points with an outward-pointing gradient terminate correctly.
-    """
+def _descend(fun_and_grad, x0, bounds, max_iters) -> _Descent:
+    """Bounded L-BFGS-B minimization from x0 clipped into the box."""
     # Imported on first use: scipy.optimize adds about 50 MB of resident
     # memory, which commands that never optimize should not carry.
     from scipy.optimize import minimize
@@ -204,7 +200,7 @@ def _descend(fun_and_grad, x0, bounds, max_iters, grad_tol) -> _Descent:
         jac=True,
         method="L-BFGS-B",
         bounds=[(lo, hi)] * x0.size,
-        options={"maxiter": max_iters, "gtol": grad_tol, "ftol": _FTOL},
+        options={"maxiter": max_iters, "gtol": _GTOL, "ftol": _FTOL},
     )
     return _Descent(np.asarray(result.x, dtype=float), float(result.fun), int(result.nit))
 
@@ -251,7 +247,7 @@ def _solve_one_start(
 
     rng = None if index < 0 else _start_rng(cfg.seed, index)
     x0 = np.zeros(cfg.m) if rng is None else rng.uniform(lo, hi, cfg.m)
-    best = _descend(fun_and_grad, x0, cfg.amp_bounds, cfg.max_iters, cfg.grad_tol)
+    best = _descend(fun_and_grad, x0, cfg.amp_bounds, cfg.max_iters)
     iterations = best.iterations
     if kind == "steer" and rng is not None:
         # The plateau value 0 has zero gradient; redraw within the box a
@@ -259,11 +255,7 @@ def _solve_one_start(
         tries = 0
         while best.value >= 0.0 and tries < _FLAT_RESTARTS:
             retry = _descend(
-                fun_and_grad,
-                rng.uniform(lo, hi, cfg.m),
-                cfg.amp_bounds,
-                cfg.max_iters,
-                cfg.grad_tol,
+                fun_and_grad, rng.uniform(lo, hi, cfg.m), cfg.amp_bounds, cfg.max_iters
             )
             iterations += retry.iterations
             if retry.value < best.value:

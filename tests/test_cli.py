@@ -1,13 +1,17 @@
 """Config-driven command line: schema, exit codes, and output files."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from conftest import SHARP_PAIR_VALUE
 from steerctl import cli
-from steerctl.cli import main
+from steerctl.cli import CONFIG_SCHEMA, main
+
+DATA = Path(__file__).parent / "data"
 
 XZ_MEASUREMENTS = {
     "kind": "bloch_axes",
@@ -366,6 +370,25 @@ def test_axis_with_an_overflowing_cell_count_is_a_usage_error(tmp_path, capsys, 
     assert "invalid configuration" in err and "landscape/c1" in err
 
 
+def test_axis_with_too_many_cells_is_a_usage_error(tmp_path, capsys):
+    # 10**18 cells: finite, so only the cell limit stops the allocation.
+    land = {**landscape_block(), "c1": {"min": 0, "max": 1, "step": 1e-18}}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "landscape": land})
+    assert run_cli("landscape", config, tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "landscape/c1" in err
+
+
+def test_grid_with_too_many_cells_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Each 3-cell axis is within the limit; the 9-cell grid is not.
+    monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 8)
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "landscape": landscape_block()})
+    assert run_cli("landscape", config, tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: landscape: 9 cells" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1}
     assert main(["check", "--config", write_config(tmp_path, payload)]) == 2
@@ -374,6 +397,77 @@ def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     # the zero start always runs; no config key turns it off
     payload = {"scenario": AD_SCENARIO, "optimize": {"T": 1.0, "include_zero_start": True}}
     assert main(["optimize", "--config", write_config(tmp_path, payload, "c3.json")]) == 2
+    # the optimizer's gradient tolerance is fixed
+    payload = {"scenario": AD_SCENARIO, "optimize": {"T": 1.0, "grad_tol": 1e-6}}
+    assert main(["optimize", "--config", write_config(tmp_path, payload, "c4.json")]) == 2
+
+
+def test_config_schema_matches_its_golden():
+    # Any change to what a config may contain shows up as a diff of this file.
+    text = json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True) + "\n"
+    assert text == (DATA / "config_schema.golden.json").read_text(encoding="utf-8")
+
+
+def schema_nodes(node):
+    if isinstance(node, dict):
+        yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from schema_nodes(child)
+
+
+def test_every_schema_object_is_strict():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    objects = [node for node in schema_nodes(CONFIG_SCHEMA) if "properties" in node]
+    assert objects
+    for node in objects:
+        assert node["type"] == "object"
+        assert node["additionalProperties"] is False
+        assert set(node["required"]) <= set(node["properties"])
+
+
+#: Invalid configs, each with the location its schema violation names.
+SCHEMA_VIOLATIONS = {
+    "unknown-drift-key": (
+        "scenario/drift/kind",
+        {
+            "scenario": {
+                "measurements": XZ_MEASUREMENTS,
+                "drift": {"kind": "dephasing", "gamma": 0.1, "rate": 1.0},
+            }
+        },
+    ),
+    "custom-drift-without-matrix": (
+        "scenario/drift/kind",
+        {"scenario": {"measurements": XZ_MEASUREMENTS, "drift": {"kind": "custom"}}},
+    ),
+    "missing-measurements": ("scenario", {"scenario": {"state": {"kind": "max_entangled"}}}),
+    "bias-one": ("scenario/bias", {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1}}),
+    "fractional-m": (
+        "optimize/m",
+        {"scenario": {"measurements": XZ_MEASUREMENTS}, "optimize": {"T": 1.0, "m": 1.5}},
+    ),
+    "unknown-top-level-key": (
+        "<root>",
+        {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_VIOLATIONS))
+def test_schema_violation_reports_what_jsonschema_validate_raises(tmp_path, capsys, name):
+    location, payload = SCHEMA_VIOLATIONS[name]
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(payload, CONFIG_SCHEMA)
+    path = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
+    assert path == location
+    assert run_cli("check", write_config(tmp_path, payload), tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config schema violation at {location}: {info.value.message}\n"
 
 
 def test_missing_required_section_is_a_usage_error(tmp_path):

@@ -36,8 +36,6 @@ def test_optimize_config_validation():
     with pytest.raises(ValueError):
         OptimizeConfig(T=1.0, n_starts=0)
     with pytest.raises(ValueError):
-        OptimizeConfig(T=1.0, grad_tol=0.0)
-    with pytest.raises(ValueError):
         OptimizeConfig(T=float("inf"))
     # an infinite width would overflow rng.uniform at the first random start
     with pytest.raises(ValueError):

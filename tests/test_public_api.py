@@ -82,3 +82,7 @@ def test_removed_names_are_gone(module):
 
 def test_optimize_config_has_no_zero_start_switch():
     assert not hasattr(steerctl.OptimizeConfig(T=1.0), "include_zero_start")
+
+
+def test_optimize_config_has_no_gradient_tolerance():
+    assert not hasattr(steerctl.OptimizeConfig(T=1.0), "grad_tol")
