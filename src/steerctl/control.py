@@ -140,12 +140,13 @@ class LandscapeGrid:
     def maximizers(self) -> list[tuple[float, float]]:
         """All grid cells attaining the exact maximum value.
 
-        The two-pulse landscape is exactly invariant under negating both
-        amplitudes whenever the measurement axes avoid sigma_y and the noise
-        is unbiased, so the peak typically appears as a mirror pair of cells
-        with bit-identical values.  ``argmax`` keeps the first cell in row
-        major order; callers that care about a particular lobe should scan
-        this list instead.
+        The two-pulse landscape is invariant under negating both amplitudes
+        whenever the measurement axes avoid sigma_y and the noise is
+        unbiased, so the peak typically appears as a mirror pair of cells.
+        The invariance holds only up to rounding (mirror cells can differ by
+        a few 1e-15), so a peak's mirror cell may be missing from this list.
+        ``argmax`` keeps the first cell in row major order; callers that
+        care about a particular lobe should scan this list instead.
         """
         out: list[tuple[float, float]] = []
         top = self.values.max()

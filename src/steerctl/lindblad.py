@@ -27,6 +27,10 @@ transposed suffixes are prefixes of the reversed, transposed factors, so
 one log-depth scan over the stacked pair (factors, reversed transposed
 factors) yields both: ceil(log2(m)) stacked products rather than 2m
 sequential ones.
+
+Every pulse channel is built this one way, values included: M is the last
+prefix of that scan over the Frechet-block factors E_k.  A value and a
+value with its gradient therefore see the same M bit for bit.
 """
 
 from __future__ import annotations
@@ -298,12 +302,6 @@ def _slot_scans(
     return scans[:, 0], frechet, scans[-2::-1, 1].transpose(0, 2, 1)
 
 
-def _propagate_from(
-    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
-) -> TransferMatrix:
-    return _prefixes(expm(_slot_generators(l0, k, dt, amplitudes)))[-1]
-
-
 def _propagate_with_vjp(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> tuple[TransferMatrix, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
@@ -329,9 +327,11 @@ def propagate(
     """Heisenberg transfer matrix of the full pulse sequence.
 
     Slot factors multiply in pulse order from the left: the first slot acts
-    first on the effect, which is the reverse of the Schrodinger order.
+    first on the effect, which is the reverse of the Schrodinger order.  The
+    matrix is the last prefix of the slot scan, so it is bit for bit the
+    transfer matrix of propagate_with_jacobian.
     """
-    return _propagate_from(g.matrix, control_matrix(h), p.dt, p.amplitudes)
+    return _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)[0][-1]
 
 
 def propagate_schrodinger(
@@ -350,8 +350,8 @@ def propagate_with_jacobian(
 ) -> tuple[TransferMatrix, list[TransferMatrix]]:
     """propagate and every dM/dc_k = P_k @ F_k @ S_k from one pass over the slots.
 
-    The transfer matrix is the last prefix, bit for bit the channel that
-    ScenarioEvaluator.pulse_value_and_gradient evaluates.
+    The transfer matrix is the last prefix of the slot scan, bit for bit
+    the channel of propagate and of both ScenarioEvaluator pulse methods.
     """
     prefixes, frechet, suffixes = _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)
     return prefixes[-1], list(prefixes[:-1] @ frechet @ suffixes)

@@ -37,7 +37,6 @@ from .lindblad import (
     DriftGenerator,
     PulseSequence,
     TransferMatrix,
-    _propagate_from,
     _propagate_with_vjp,
     control_matrix,
     pauli_transfer_matrix,
@@ -157,7 +156,7 @@ class ScenarioEvaluator:
         return self._transported_value(channel)[2]
 
     def pulse_value(self, dt: float, amplitudes: Sequence[float]) -> float:
-        channel = _propagate_from(
+        channel, _ = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes
         )
         return self.channel_value(channel)

@@ -418,7 +418,7 @@ def test_propagate_with_jacobian_is_consistent():
     h = ControlHamiltonian((0.5, 0.5, 0.0))
     p = random_pulse(rng, m=6)
     total, jac = propagate_with_jacobian(g, h, p)
-    assert np.allclose(total, propagate(g, h, p), atol=1e-12)
+    assert np.array_equal(total, propagate(g, h, p))
     assert len(jac) == p.m
 
 
