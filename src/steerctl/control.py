@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import PulseSequence, _propagate_with_vjp, _slot_generators, expm
+from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_generators, expm
 from .steering import ScenarioEvaluator, SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -54,12 +54,10 @@ class OptimizeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "m", int(self.m))
         lo, hi = (float(v) for v in self.amp_bounds)
         object.__setattr__(self, "amp_bounds", (lo, hi))
-        object.__setattr__(self, "n_starts", int(self.n_starts))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        for name in ("m", "n_starts", "seed", "max_iters"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         # m and n_starts size tuples, arrays and ranges, none of which can be
         # longer than sys.maxsize.
         for name in ("m", "n_starts"):

@@ -131,6 +131,21 @@ class ControlHamiltonian:
         object.__setattr__(self, "h", h)
 
 
+def _count(name: str, value: object) -> int:
+    """value as an int; anything not integral raises ValueError naming the field.
+
+    Integral floats such as 2.0 pass, because JSON Schema accepts them as
+    integers; 2.5 is rejected instead of truncated.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Piecewise-constant amplitudes, one per slot of duration dt."""
@@ -153,6 +168,7 @@ class PulseSequence:
     @classmethod
     def zero(cls, m: int, total_time: float) -> "PulseSequence":
         """m slots of zero amplitude spanning total_time."""
+        m = _count("m", m)
         if m < 1:
             raise ValueError("m must be >= 1")
         return cls(float(total_time) / m, (0.0,) * m)

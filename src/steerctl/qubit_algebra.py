@@ -62,20 +62,28 @@ class FourVector:
         return (self.x0, self.x1, self.x2, self.x3)
 
 
+def _in_effect_cone(x: tuple[float, float, float, float], tol: float = EFFECT_TOL) -> bool:
+    """True iff the raw components x and their complement lie in the forward cone.
+
+    The cone arithmetic behind validate_effect, on Python floats, for
+    callers that hold an effect as a 4-tuple.  A NaN component fails every
+    comparison, so it counts as outside the cone; callers that must report
+    non-finite components as such check finiteness first.
+    """
+    x0, x1, x2, x3 = x
+    v = x1 * x1 + x2 * x2 + x3 * x3
+    t0 = 2.0 - x0
+    return x0 >= -tol and t0 >= -tol and x0 * x0 - v >= -tol and t0 * t0 - v >= -tol
+
+
 def validate_effect(x: FourVector, tol: float = EFFECT_TOL) -> bool:
     """True iff x and its complement lie in the forward cone.
 
     Equivalent to 0 <= A <= Id on the matrix form; boundary (sharp)
-    effects count as valid.
+    effects count as valid.  The pulsed steering evaluator runs the same
+    check on raw 4-tuples, without building a FourVector.
     """
-    v = x.x1 * x.x1 + x.x2 * x.x2 + x.x3 * x.x3
-    if x.x0 < -tol or 2.0 - x.x0 < -tol:
-        return False
-    if x.x0 * x.x0 - v < -tol:
-        return False
-    if (2.0 - x.x0) * (2.0 - x.x0) - v < -tol:
-        return False
-    return True
+    return _in_effect_cone(x.as_tuple(), tol)
 
 
 def sharp_effect(axis: Iterable[float]) -> FourVector:

@@ -13,11 +13,14 @@ transported effects
 where M(c) is the Heisenberg transfer matrix of the controlled dynamics.
 Because the dynamics enters only through M(c), the exact gradient in the
 pulse amplitudes follows from the incompatibility gradient and the
-propagator Jacobian by the chain rule.
+propagator Jacobian by the chain rule.  Per evaluation, the transported
+effects y_i stay Python-float 4-tuples from the matrix products through the
+effect check to the root finder and the implicit gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -41,7 +44,7 @@ from .lindblad import (
     control_matrix,
     pauli_transfer_matrix,
 )
-from .qubit_algebra import BipartiteState, FourVector, validate_effect
+from .qubit_algebra import BipartiteState, FourVector, _in_effect_cone, validate_effect
 
 #: Bob marginals with an eigenvalue below this are treated as rank-deficient.
 _RANK_TOL = 1e-12
@@ -120,8 +123,11 @@ class ScenarioEvaluator:
     """Precomputed pieces of one scenario, for repeated cost evaluations.
 
     Holds the resource map, the drift and control generator matrices, and
-    the measurement 4-vectors as arrays.  All methods are pure; instances
-    are safe to share across threads.
+    the measurement 4-vectors as arrays.  Transported effects are float
+    4-tuples, checked with validate_effect's cone arithmetic and passed to
+    the compat root finder and gradient as they are; no FourVector is built
+    per evaluation.  All methods are pure; instances are safe to share
+    across threads.
     """
 
     def __init__(self, scenario: SteeringScenario):
@@ -136,20 +142,25 @@ class ScenarioEvaluator:
 
     def _transported_value(
         self, channel: TransferMatrix
-    ) -> tuple[FourVector, FourVector, float]:
-        """Effects y_i = R @ channel @ x_i, checked, and their robustness."""
-        y1 = self.resource @ (channel @ self._x1)
-        y2 = self.resource @ (channel @ self._x2)
-        e1 = FourVector(*y1.tolist())
-        e2 = FourVector(*y2.tolist())
-        for e in (e1, e2):
+    ) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """Float 4-tuples y_i = R @ (channel @ x_i), checked, and their robustness.
+
+        Raises:
+            InvalidEffectError: if a component is not finite.
+            InternalConsistencyError: if an effect is outside the cone.
+        """
+        y1 = tuple((self.resource @ (channel @ self._x1)).tolist())
+        y2 = tuple((self.resource @ (channel @ self._x2)).tolist())
+        if not all(map(math.isfinite, y1 + y2)):
+            raise InvalidEffectError(f"transported effects {y1}, {y2} have a non-finite component")
+        for y in (y1, y2):
             # CPTP dynamics and the resource map preserve validity; anything
             # else indicates a broken transfer matrix.
-            if not validate_effect(e):
+            if not _in_effect_cone(y):
                 raise InternalConsistencyError(
-                    f"transported effect {e} is invalid; a transfer matrix is not positive"
+                    f"transported effect {y} is invalid; a transfer matrix is not positive"
                 )
-        return e1, e2, compat._robustness_tuples(e1.as_tuple(), e2.as_tuple(), self._b)
+        return y1, y2, compat._robustness_tuples(y1, y2, self._b)
 
     def channel_value(self, channel: TransferMatrix) -> float:
         """Robustness of the effects transported by a Heisenberg channel matrix."""
@@ -173,11 +184,11 @@ class ScenarioEvaluator:
         channel, vjp = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes
         )
-        e1, e2, value = self._transported_value(channel)
+        y1, y2, value = self._transported_value(channel)
         if not 0.0 < value < 0.5:
             return value, np.zeros(len(amplitudes))
         try:
-            g1, g2 = compat._gradient_at_root(e1.as_tuple(), e2.as_tuple(), self._b, value)
+            g1, g2 = compat._gradient_at_root(y1, y2, self._b, value)
         except (NotDifferentiableError, DegenerateRootError):
             return value, np.zeros(len(amplitudes))
         # df/dc_k = sum_i (R^T g_i) @ dM/dc_k @ x_i.

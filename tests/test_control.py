@@ -45,6 +45,16 @@ def test_optimize_config_validation():
         OptimizeConfig(T=1.0, amp_bounds=(-float("inf"), 1.0))
     cfg = OptimizeConfig(T=2.8, m=20)
     assert cfg.dt == pytest.approx(0.14)
+    # counts are never truncated: a fractional one raises and names its field
+    counts = dict(m=2, n_starts=1, seed=3, max_iters=10)
+    for name in counts:
+        for bad in (counts[name] + 0.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                OptimizeConfig(T=1.0, **{**counts, name: bad})
+    # integral floats are integers to JSON Schema, so they keep working
+    cfg = OptimizeConfig(T=1.0, **{name: float(v) for name, v in counts.items()})
+    assert cfg == OptimizeConfig(T=1.0, **counts)
+    assert all(type(getattr(cfg, name)) is int for name in counts)
 
 
 def test_result_shape_and_invariants():

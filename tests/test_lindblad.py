@@ -2,6 +2,7 @@
 
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -188,6 +189,11 @@ def test_pulse_sequence_validation_and_zero():
     assert p.total_time == pytest.approx(2.0)
     assert p.amplitudes == (0.0, 0.0, 0.0, 0.0)
     assert np.array_equal(p.as_array(), np.zeros(4))
+    # a fractional slot count names the field instead of failing untyped;
+    # an integral float counts, as JSON Schema accepts it as an integer
+    with pytest.raises(ValueError, match="^m must be an integer, got 2.5$"):
+        PulseSequence.zero(2.5, 1.0)
+    assert PulseSequence.zero(2.0, 1.0) == PulseSequence.zero(2, 1.0)
 
 
 def test_zero_pulse_propagation_matches_closed_forms():
@@ -309,13 +315,17 @@ def test_expm_matches_scipy_on_slot_stacks(drift, m, augmented):
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
 def test_expm_squaring_matches_the_slot_product(drift):
     # One slot spanning the whole horizon at the box edge has 1-norm ~170, so
-    # the kernel squares five times; the semigroup property ties it to the
-    # product of twenty slot-length exponentials checked above.
-    for amplitude in (15.0, -15.0):
-        for augmented in (False, True):
-            whole = expm(slot_stack(DRIFTS[drift], [amplitude], 20 * SLOT_DT, augmented))[0]
-            part = expm(slot_stack(DRIFTS[drift], [amplitude], SLOT_DT, augmented))[0]
-            assert np.max(np.abs(whole - np.linalg.matrix_power(part, 20))) < SLOT_ATOL
+    # the kernel squares five times.  The product of twenty slot-length
+    # exponentials is the same matrix, but a float reference for it rounds
+    # at SLOT_ATOL's scale and differently on each BLAS kernel; a 40-digit
+    # exponential of the very matrix the kernel gets is exact at that scale.
+    with mpmath.workdps(40):
+        for amplitude in (15.0, -15.0):
+            for augmented in (False, True):
+                stack = slot_stack(DRIFTS[drift], [amplitude], 20 * SLOT_DT, augmented)
+                exact = mpmath.expm(mpmath.matrix(stack[0].tolist()))
+                reference = np.array(exact.tolist(), dtype=float)
+                assert np.max(np.abs(expm(stack)[0] - reference)) < SLOT_ATOL
 
 
 def test_expm_at_the_defective_critical_amplitude():

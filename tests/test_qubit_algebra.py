@@ -1,9 +1,14 @@
 """Four-vector effect representation and two-qubit state container."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import complement, effect_to_matrix, random_effect, random_state
+from conftest import PROPERTY_SETTINGS, complement, effect_to_matrix, random_effect, random_state
 from steerctl import (
     BipartiteState,
     FourVector,
@@ -11,6 +16,7 @@ from steerctl import (
     sharp_effect,
     validate_effect,
 )
+from steerctl.qubit_algebra import EFFECT_TOL, _in_effect_cone
 
 
 def test_four_vector_roundtrips():
@@ -66,6 +72,56 @@ def test_validate_effect_tolerance_is_respected():
     slightly_off = FourVector(1.0, 1.0 + 1e-12, 0.0, 0.0)
     assert validate_effect(slightly_off)
     assert not validate_effect(slightly_off, tol=1e-14)
+
+
+#: Component values on the cone's edges: signed zeros, the validity
+#: tolerance either side of them, and the sharp values.
+_EDGE_VALUES = (0.0, -0.0, EFFECT_TOL, -EFFECT_TOL, 1.0, -1.0, 2.0, 2.0 + EFFECT_TOL)
+
+
+def _on_the_surface(x0, theta, phi, offset):
+    """(x0, r * n) with r = min(x0, 2 - x0) + offset: sharp at offset 0."""
+    r = min(x0, 2.0 - x0) + offset
+    return (
+        x0,
+        r * math.sin(theta) * math.cos(phi),
+        r * math.sin(theta) * math.sin(phi),
+        r * math.cos(theta),
+    )
+
+
+_components = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-2.5, 2.5))
+_free_tuples = st.tuples(_components, _components, _components, _components)
+_boundary_tuples = st.builds(
+    _on_the_surface,
+    st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-0.1, 2.1)),
+    st.one_of(st.sampled_from((0.0, 0.5 * math.pi, math.pi)), st.floats(0.0, math.pi)),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from((0.0, EFFECT_TOL, -EFFECT_TOL, 1e-3, -1e-3)),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(x=st.one_of(_free_tuples, _boundary_tuples))
+# each of the four cone conditions alone missed by half and by one and a
+# half tolerances, so the tolerance is pinned on each side
+@example(x=(-0.5 * EFFECT_TOL, 0.0, 0.0, 0.0))
+@example(x=(-1.5 * EFFECT_TOL, 0.0, 0.0, 0.0))
+@example(x=(2.0 + 0.5 * EFFECT_TOL, 0.0, 0.0, 0.0))
+@example(x=(2.0 + 1.5 * EFFECT_TOL, 0.0, 0.0, 0.0))
+@example(x=(0.25, 0.25 + EFFECT_TOL, 0.0, 0.0))
+@example(x=(0.75, 0.75 + EFFECT_TOL, 0.0, 0.0))
+@example(x=(1.75, 0.0, -0.25 - EFFECT_TOL, 0.0))
+@example(x=(1.25, 0.0, 0.0, 0.75 + EFFECT_TOL))
+def test_float_effect_check_agrees_with_validate_effect(x):
+    got = _in_effect_cone(x)
+    assert got is validate_effect(FourVector(*x))
+    # Exact margins of the four cone conditions; within 1e-13 of the
+    # tolerance, float rounding may decide either way.
+    x0, v = Fraction(x[0]), sum(Fraction(c) ** 2 for c in x[1:])
+    margin = min(x0, 2 - x0, x0 * x0 - v, (2 - x0) ** 2 - v) + Fraction(EFFECT_TOL)
+    if abs(margin) > 1e-13:
+        assert got is (margin > 0)
 
 
 def test_sharp_effect_normalizes_and_rejects_zero_axis():
