@@ -367,12 +367,16 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
+    """The header, then each preformatted chunk of newline-ended lines as it comes."""
     _ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def _csv_line(values: Iterable[float]) -> str:
+    return ",".join(map(_fmt, values)) + "\n"
 
 
 def _pulse_payload(p: PulseSequence) -> dict[str, Any]:
@@ -462,11 +466,11 @@ def _cmd_landscape(rc: RunConfig) -> None:
         rc.landscape_params, "landscape", rc.command
     )
     grid: LandscapeGrid = landscape(_scenario(rc), t_drift, horizon, c1_axis, c2_axis)
-    c2s = grid.c2_axis.tolist()
+    # Each axis value is formatted once; a grid row goes out as one string.
+    c2s = [f",{_fmt(c2)}," for c2 in grid.c2_axis.tolist()]
     rows = (
-        (c1, c2, value)
-        for c1, row in zip(grid.c1_axis.tolist(), grid.values)
-        for c2, value in zip(c2s, row.tolist())
+        "".join([f"{c1}{c2}{_fmt(value)}\n" for c2, value in zip(c2s, row.tolist())])
+        for c1, row in zip(map(_fmt, grid.c1_axis.tolist()), grid.values)
     )
     _write_csv(rc.out_prefix + ".csv", "c1,c2,robustness", rows)
     peak_c1, peak_c2 = grid.argmax
@@ -485,7 +489,7 @@ def _cmd_sweep(rc: RunConfig) -> None:
         _write_csv(
             rc.out_prefix + ".csv",
             "T,uncontrolled,naive,optimized",
-            [[r.T, r.uncontrolled, r.naive, r.optimized] for r in rows],
+            [_csv_line((r.T, r.uncontrolled, r.naive, r.optimized)) for r in rows],
         )
         best = max(r.optimized for r in rows)
         print(f"sweep best optimized robustness = {_fmt(best)}")
@@ -495,7 +499,7 @@ def _cmd_sweep(rc: RunConfig) -> None:
         evaluator = ScenarioEvaluator(scenario)
         m = rc.opt.m if rc.opt is not None else OptimizeConfig.m
         rows = [[t, evaluator.pulse_value(t / m, (0.0,) * m)] for t in t_grid]
-        _write_csv(rc.out_prefix + ".csv", "T,uncontrolled", rows)
+        _write_csv(rc.out_prefix + ".csv", "T,uncontrolled", map(_csv_line, rows))
         best = max(r[1] for r in rows)
         print(f"sweep best uncontrolled robustness = {_fmt(best)}")
 

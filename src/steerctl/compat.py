@@ -18,9 +18,16 @@ C(N_lam(x1), N_lam(x2)) = 0 at the root.
 C depends on a pair only through five scalars (the two identity coefficients,
 the two Bloch norms, and the Bloch overlap), and classical noise acts on those
 scalars directly, so each trial weight costs one evaluation of C.  The root
-finder brackets the first sign change of C with a 64-point scan, locates it by
+finder brackets the first sign change of C on a 64-point grid, locates it by
 Illinois false position, and returns what bisecting the scan bracket gives,
 reading the sign of C only inside a checked window around the located root.
+
+The scan reads every second grid point, then the one it skipped below the
+first point with C >= 0.  That bracket is the one-step scan's, because C
+changes sign only once along lam: noise composes as N_mu o N_lam =
+N_{lam+mu-lam*mu}, and post-processing a jointly measurable pair keeps it
+jointly measurable, so compatibility at lam implies it at every larger
+weight.
 
 The root finder and the gradient both run on Python floats in a fixed
 order: every Minkowski form is a left-to-right sum of four products, with no
@@ -59,6 +66,12 @@ _PACE = 0.5**0.5
 
 #: Number of equispaced scan points on [0, 1/2] used to bracket the root.
 _SCAN_POINTS = 64
+
+#: The scan grid lam_i = i * (1/2) / (_SCAN_POINTS - 1).
+_SCAN_GRID = tuple(i * (0.5 / (_SCAN_POINTS - 1)) for i in range(_SCAN_POINTS))
+
+#: Grid indices the scan reads in order: every second one, then the last.
+_STRIDED_SCAN = (*range(2, _SCAN_POINTS - 1, 2), _SCAN_POINTS - 1)
 
 #: Radicands in [-RADICAND_TOL, 0) are treated as rounding noise.
 _RADICAND_TOL = 1e-12
@@ -120,11 +133,14 @@ def _smallest_root(
     (u*a0 + 2*lam*p, u^2*|a|^2, u*b0 + 2*lam*p, u^2*|b|^2, u^2*a.b) with
     u = 1 - lam, so each lam costs one call of _c_scalar.
 
-    After the lam = 0 check, a 64-point scan brackets the first sign change
-    of C.  Illinois false position then narrows that bracket below _WINDOW,
-    and C is checked to be negative at _WINDOW below its midpoint and
-    nonnegative at _WINDOW above it; if not, the window is the whole scan
-    bracket.  Last, the scan bracket is bisected to _BISECT_WIDTH, reading
+    After the lam = 0 check, a scan of the 64-point grid brackets the first
+    sign change of C.  It reads grid points 2, 4, ..., 62 and 63, and at the
+    first one with C >= 0 the skipped point below it, which picks the same
+    one-step bracket a scan of every point would: C >= 0 is upward-closed in
+    lam (see the module docstring).  Illinois false position then narrows
+    that bracket below _WINDOW, and C is checked to be negative at _WINDOW
+    below its midpoint and nonnegative at _WINDOW above it; if not, the
+    window is the whole scan bracket.  Last, the scan bracket is bisected to _BISECT_WIDTH, reading
     the sign of C only at midpoints strictly inside the window: below it C
     counts as negative, above it as nonnegative.  So the result is the
     plain bisection's, bit for bit, unless C changes sign in the scan
@@ -143,17 +159,24 @@ def _smallest_root(
         u2 = u * u
         return _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d)
 
-    step = 0.5 / (_SCAN_POINTS - 1)
     lo = 0.0
     hi = None
-    # Scan upward; the first sign change brackets the smallest root.
-    for i in range(1, _SCAN_POINTS):
-        lam = i * step
+    last = 0
+    # Scan upward two grid steps at a time, then read the skipped point.
+    for i in _STRIDED_SCAN:
+        lam = _SCAN_GRID[i]
         c = c_at(lam)
         if c >= 0.0:
             hi, c_hi = lam, c
+            if i - last == 2:
+                lam = _SCAN_GRID[i - 1]
+                c = c_at(lam)
+                if c >= 0.0:
+                    hi, c_hi = lam, c
+                else:
+                    lo, c_lo = lam, c
             break
-        lo, c_lo = lam, c
+        lo, c_lo, last = lam, c, i
     if hi is None:
         raise NoiseInsufficientError(
             "C is still negative at lam = 1/2; classical noise cannot restore compatibility"

@@ -29,8 +29,9 @@ factors) yields both: ceil(log2(m)) stacked products rather than 2m
 sequential ones.
 
 Every pulse channel is built this one way, values included: M is the last
-prefix of that scan over the Frechet-block factors E_k.  A value and a
-value with its gradient therefore see the same M bit for bit.
+prefix of a scan over the Frechet-block factors E_k.  A value alone scans
+only the factors, not the stacked pair, and gets the same prefixes bit for
+bit, so a value and a value with its gradient see the same M.
 """
 
 from __future__ import annotations
@@ -318,6 +319,19 @@ def _slot_scans(
     return scans[:, 0], frechet, scans[-2::-1, 1].transpose(0, 2, 1)
 
 
+def _channel(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> TransferMatrix:
+    """M alone, for callers that need no gradient.
+
+    The factors are the same Frechet-block corners _slot_scans takes, and a
+    scan over them alone gives bit for bit the prefixes of its stacked scan,
+    so M is the same; only the suffix half of the scan is skipped.
+    """
+    factors, _ = expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
+    return _prefixes(factors)[-1]
+
+
 def _propagate_with_vjp(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> tuple[TransferMatrix, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
@@ -347,7 +361,7 @@ def propagate(
     matrix is the last prefix of the slot scan, so it is bit for bit the
     transfer matrix of propagate_with_jacobian.
     """
-    return _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)[0][-1]
+    return _channel(g.matrix, control_matrix(h), p.dt, p.amplitudes)
 
 
 def propagate_schrodinger(

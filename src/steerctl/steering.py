@@ -40,6 +40,7 @@ from .lindblad import (
     DriftGenerator,
     PulseSequence,
     TransferMatrix,
+    _channel,
     _propagate_with_vjp,
     control_matrix,
     pauli_transfer_matrix,
@@ -167,10 +168,9 @@ class ScenarioEvaluator:
         return self._transported_value(channel)[2]
 
     def pulse_value(self, dt: float, amplitudes: Sequence[float]) -> float:
-        channel, _ = _propagate_with_vjp(
-            self.drift_generator, self.control_generator, dt, amplitudes
+        return self.channel_value(
+            _channel(self.drift_generator, self.control_generator, dt, amplitudes)
         )
-        return self.channel_value(channel)
 
     def pulse_value_and_gradient(
         self, dt: float, amplitudes: Sequence[float]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SHARP_PAIR_VALUE
-from steerctl import cli
+from steerctl import cli, landscape, time_sweep
 from steerctl.cli import CONFIG_SCHEMA, main
 
 DATA = Path(__file__).parent / "data"
@@ -170,6 +170,32 @@ def test_landscape_command_csv(tmp_path):
     assert float(first[0]) == -1.0 and float(first[1]) == -1.0
 
 
+def test_landscape_csv_on_an_offset_grid_is_formatted_cell_by_cell(tmp_path):
+    # Sub-step axis origins, as the benchmark's landscape workload draws
+    # them, make the axis values 17-digit strings.  Unequal axes catch a
+    # swap or a transpose; the file must be exactly the grid's cells in
+    # row-major order, each value through _fmt.
+    lo1, lo2 = np.random.default_rng(7).uniform(0.0, 0.5, 2) - (2.0, 3.0)
+    c1 = {"min": lo1, "max": lo1 + 3.0, "step": 0.5}
+    c2 = {"min": lo2, "max": lo2 + 5.5, "step": 0.5}
+    payload = {
+        "scenario": AD_SCENARIO,
+        "landscape": {"t_drift": 2.6, "T": 2.8, "c1": c1, "c2": c2},
+    }
+    config = write_config(tmp_path, payload)
+    assert run_cli("landscape", config, tmp_path / "grid") == 0
+    rc = cli._build_run_config(json.loads(Path(config).read_text()), "landscape", None, None)
+    grid = landscape(cli._scenario(rc), *rc.landscape_params)
+    assert grid.values.shape == (7, 12) and grid.values.max() > 0.0
+    assert len(cli._fmt(grid.c1_axis[1]).lstrip("-").replace(".", "").lstrip("0")) == 17
+    expected = "c1,c2,robustness\n" + "".join(
+        f"{cli._fmt(grid.c1_axis[i])},{cli._fmt(grid.c2_axis[j])},{cli._fmt(grid.values[i, j])}\n"
+        for i in range(grid.c1_axis.size)
+        for j in range(grid.c2_axis.size)
+    )
+    assert (tmp_path / "grid.csv").read_bytes() == expected.encode("utf-8")
+
+
 def test_landscape_csv_is_streamed(tmp_path):
     # The rows go to the file one at a time, so the Python heap never holds
     # the whole table.  Built as one list of numpy scalars first, this
@@ -206,6 +232,12 @@ def test_sweep_command_csv(tmp_path):
     row = [float(v) for v in lines[1].split(",")]
     assert row[0] == 0.5
     assert row[3] >= row[1] - 1e-12
+    # Each column holds its own field of the sweep, through _fmt.
+    rc = cli._build_run_config(json.loads(Path(config).read_text()), "sweep", None, None)
+    points = time_sweep(cli._scenario(rc), rc.opt, rc.sweep_params[0])
+    assert lines[1:] == [
+        ",".join(map(cli._fmt, (p.T, p.uncontrolled, p.naive, p.optimized))) for p in points
+    ]
 
 
 def test_sweep_command_zero_pulse_only(tmp_path):

@@ -390,8 +390,11 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
     monkeypatch.setattr(compat, "_c_scalar", banded(seen["new"]))
     monkeypatch.setitem(globals(), "_c_scalar", banded(seen["old"]))
     assert outcome(compat._robustness_tuples, x1, x2, b) == outcome(old_root, x1, x2, b)
-    # Every midpoint the plain bisection read, the replay read too.
-    assert set(seen["old"]) <= set(seen["new"])
+    # Every midpoint the plain bisection read, the replay read too.  Those
+    # are the oracle's last BISECT_STEPS reads; its scan reads before them
+    # are left out, since the strided scan skips every second scan point.
+    midpoints = seen["old"][-BISECT_STEPS:]
+    assert set(midpoints) <= set(seen["new"])
 
 
 def nonzero_root_inputs(monkeypatch, run):
@@ -444,9 +447,9 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
         new_total += new_calls
         old_total += calls[0]
     assert len(roots) > 300
-    # Measured: 23.95 against 51.21 calls per root on the landscape, 18.11
-    # against 45.34 in the optimizer.
-    assert new_total <= 0.5 * old_total
+    # Measured: 20.06 against 51.21 calls per root on the landscape (ratio
+    # 0.392), 17.24 against 45.34 in the optimizer (0.380).
+    assert new_total <= {"landscape-dp": 0.41, "optimize-ad": 0.40}[workload] * old_total
 
 
 def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
