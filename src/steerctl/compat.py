@@ -22,12 +22,12 @@ finder brackets the first sign change of C on a 64-point grid, locates it by
 Illinois false position, and returns what bisecting the scan bracket gives,
 reading the sign of C only inside a checked window around the located root.
 
-The scan reads every second grid point, then the one it skipped below the
-first point with C >= 0.  That bracket is the one-step scan's, because C
-changes sign only once along lam: noise composes as N_mu o N_lam =
-N_{lam+mu-lam*mu}, and post-processing a jointly measurable pair keeps it
-jointly measurable, so compatibility at lam implies it at every larger
-weight.
+The scan reads every second grid point, and bisecting its two-step bracket
+gives the one-step scan's root bit for bit: on this grid the bracket's
+midpoint is the skipped grid point exactly, and C changes sign only once
+along lam.  Noise composes as N_mu o N_lam = N_{lam+mu-lam*mu}, and
+post-processing a jointly measurable pair keeps it jointly measurable, so
+compatibility at lam implies it at every larger weight.
 
 The root finder and the gradient both run on Python floats in a fixed
 order: every Minkowski form is a left-to-right sum of four products, with no
@@ -134,20 +134,21 @@ def _smallest_root(
     u = 1 - lam, so each lam costs one call of _c_scalar.
 
     After the lam = 0 check, a scan of the 64-point grid brackets the first
-    sign change of C.  It reads grid points 2, 4, ..., 62 and 63, and at the
-    first one with C >= 0 the skipped point below it, which picks the same
-    one-step bracket a scan of every point would: C >= 0 is upward-closed in
+    sign change of C.  It reads grid points 2, 4, ..., 62 and 63 and stops
+    at the first one with C >= 0.  The first midpoint of that bracket is the
+    skipped grid point, so bisecting it goes on as bisecting the one-step
+    bracket a scan of every point would pick: C >= 0 is upward-closed in
     lam (see the module docstring).  Illinois false position then narrows
-    that bracket below _WINDOW, and C is checked to be negative at _WINDOW
-    below its midpoint and nonnegative at _WINDOW above it; if not, the
-    window is the whole scan bracket.  Last, the scan bracket is bisected to _BISECT_WIDTH, reading
-    the sign of C only at midpoints strictly inside the window: below it C
-    counts as negative, above it as nonnegative.  So the result is the
-    plain bisection's, bit for bit, unless C changes sign in the scan
-    bracket outside the window, where the plain bisection's root would be
-    arbitrary anyway.  Only signs of C decide it, never values, so pairs
-    whose C agrees in sign but not in the last bits, such as mirror images,
-    get the same root.
+    the scan bracket below _WINDOW, and C is checked to be negative at
+    _WINDOW below its midpoint and nonnegative at _WINDOW above it; if not,
+    the window is the whole scan bracket.  Last, the scan bracket is
+    bisected to _BISECT_WIDTH, reading the sign of C only at midpoints
+    strictly inside the window: below it C counts as negative, above it as
+    nonnegative.  So the result is the plain bisection's, bit for bit,
+    unless C changes sign in the scan bracket outside the window, where the
+    plain bisection's root would be arbitrary anyway.  Only signs of C
+    decide it, never values, so pairs whose C agrees in sign but not in the
+    last bits, such as mirror images, get the same root.
     """
     c_lo = _c_scalar(a0, va, b0, vb, d)
     if c_lo >= -COMPAT_TOL:
@@ -161,22 +162,14 @@ def _smallest_root(
 
     lo = 0.0
     hi = None
-    last = 0
-    # Scan upward two grid steps at a time, then read the skipped point.
+    # Scan upward two grid steps at a time.
     for i in _STRIDED_SCAN:
         lam = _SCAN_GRID[i]
         c = c_at(lam)
         if c >= 0.0:
             hi, c_hi = lam, c
-            if i - last == 2:
-                lam = _SCAN_GRID[i - 1]
-                c = c_at(lam)
-                if c >= 0.0:
-                    hi, c_hi = lam, c
-                else:
-                    lo, c_lo = lam, c
             break
-        lo, c_lo, last = lam, c, i
+        lo, c_lo = lam, c
     if hi is None:
         raise NoiseInsufficientError(
             "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
@@ -185,7 +178,7 @@ def _smallest_root(
     # Locate by Illinois false position.  Each iterate stays half a bisection
     # width inside the bracket, and a bisection step replaces it whenever
     # the bracket is wider than bisecting every second step would leave it,
-    # which caps the locate at 76 steps, under twice the bisection's 40.
+    # which caps the locate at 78 steps, under twice the bisection's 41.
     pace = 2.0 * (hi - lo)
     moved = 0  # +1 after lo moved, -1 after hi moved
     while hi - lo >= _WINDOW:

@@ -141,8 +141,10 @@ class LandscapeGrid:
         The two-pulse landscape is invariant under negating both amplitudes
         whenever the measurement axes avoid sigma_y and the noise is
         unbiased, so the peak typically appears as a mirror pair of cells.
-        The invariance holds only up to rounding (mirror cells can differ by
-        a few 1e-15), so a peak's mirror cell may be missing from this list.
+        The invariance holds only up to rounding (the compatibility
+        functional adds the mirrored effects' overlap terms in a fixed
+        order, so mirror cells can differ by a few 1e-15), and a peak's
+        mirror cell may be missing from this list.
         ``argmax`` keeps the first cell in row major order; callers that
         care about a particular lobe should scan this list instead.
         """

@@ -11,10 +11,13 @@ with L_c = L_0 + c * K acting on effect 4-vectors: L_0 is the drift
 generator's matrix and K = control_matrix(h).
 
 Every matrix exponential goes through one kernel, ``expm``, which takes a
-whole (n, k, k) stack at once: scaling and squaring with the degree-13 Pade
-approximant (Higham 2005), each matrix scaled by its own power of two.  No
-eigendecomposition is used: L_0 + c*K is defective at the amplitude where
-damped rotation is critically damped.
+whole (n, k, k) stack at once: scaling and squaring with the degree-25
+Taylor polynomial (Al-Mohy and Higham 2011), each matrix scaled by its own
+power of two, in stacked products alone.  No eigendecomposition is used:
+L_0 + c*K is defective at the amplitude where damped rotation is critically
+damped.  No linear solve is used either, so the unit first column of every
+slot exponential of a unital drift (and the unit first row under
+dephasing) is exact.
 
 Exact derivatives of M with respect to the amplitudes come from Frechet
 derivatives: the top-right block F_k of exp([[dt*L_k, dt*K], [0, dt*L_k]])
@@ -210,49 +213,52 @@ def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
     return out + 0.0
 
 
-#: Numerator coefficients b_j = (26-j)! / ((13-j)! j!) of the [13/13] Pade
-#: approximant of exp, scaled to b_13 = 1; every one is exact in a double.
-_PADE13 = np.array(
-    [math.factorial(26 - j) // (math.factorial(13 - j) * math.factorial(j)) for j in range(14)],
-    dtype=float,
-)
+#: Degree m of the Taylor polynomial, the largest 1-norm at which it meets
+#: double-precision backward error (Al-Mohy and Higham, SIAM J. Sci. Comput.
+#: 33 (2011) 488, Table 3.1), and the Paterson-Stockmeyer step q.
+_TAYLOR_DEGREE = 25
+_THETA = 2.4285825244
+_PS_STEP = 5
 
-#: Largest 1-norm at which Pade-13 meets double-precision backward error.
-_THETA13 = 5.371920351148152
-
-#: Rows map the powers (I, A^2, A^4, A^6) to the four even-power sums of the
-#: approximant: U = A @ (A^6 @ row0 + row1) and V = A^6 @ row2 + row3.
-_PADE13_SUMS = np.array(
-    [[0.0, *_PADE13[9::2]], _PADE13[1:8:2], [0.0, *_PADE13[8::2]], _PADE13[0:7:2]]
+#: Row j maps the powers (I, A, ..., A^q) to the Horner block
+#: sum_{i<q} A^i / (q*j + i)!; the last block also takes A^m / m!.
+_TAYLOR_BLOCKS = np.array(
+    [
+        [1 / math.factorial(_PS_STEP * j + i) for i in range(_PS_STEP)] + [0.0]
+        for j in range(_TAYLOR_DEGREE // _PS_STEP)
+    ]
 )
+_TAYLOR_BLOCKS[-1, -1] = 1 / math.factorial(_TAYLOR_DEGREE)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a (k, k) matrix or of each matrix in an (n, k, k) stack.
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham, SIAM
-    J. Matrix Anal. Appl. 26 (2005) 1179): matrix i is divided by 2**s_i,
-    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))), and its approximant is
-    squared s_i times.  The per-matrix scale makes each result independent
-    of the rest of the stack.
+    Scaling and squaring with the degree-25 Taylor polynomial, evaluated by
+    Paterson-Stockmeyer (Higham, Functions of Matrices, SIAM 2008, 4.4.3):
+    matrix i is divided by 2**s_i, s_i = max(0, ceil(log2(||A_i||_1 /
+    theta_25))), and its polynomial is squared s_i times.  The per-matrix
+    scale makes each result independent of the rest of the stack.  Only
+    stacked products are used, so a zero first column (row) of A_i stays
+    zero in every power, and the result's is exactly the identity's.
     """
     a = np.asarray(a, dtype=float)
     shape = a.shape
     k = shape[-1]
     a = a.reshape(-1, k, k)
     norms = np.abs(a).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
-    # A power-of-two scale is exact, so it adds no rounding error.
-    a = a * np.exp2(-s)[:, None, None]
-    powers = np.empty((4,) + a.shape)
+    s = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(int)
+    powers = np.empty((_PS_STEP + 1,) + a.shape)
     powers[0] = np.eye(k)
-    np.matmul(a, a, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    sums = (_PADE13_SUMS @ powers.reshape(4, -1)).reshape(powers.shape)
-    u = a @ (powers[3] @ sums[0] + sums[1])
-    v = powers[3] @ sums[2] + sums[3]
-    r = np.linalg.solve(v - u, v + u)
+    # A power-of-two scale is exact, so it adds no rounding error.
+    np.multiply(a, np.exp2(-s)[:, None, None], out=powers[1])
+    for i in range(2, _PS_STEP + 1):
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
+    blocks = _TAYLOR_BLOCKS @ powers.reshape(_PS_STEP + 1, -1)
+    blocks = blocks.reshape((len(blocks),) + a.shape)
+    r = blocks[-1]
+    for block in blocks[-2::-1]:
+        r = r @ powers[-1] + block
     for step in range(int(s.max(initial=0))):
         r = np.where((s > step)[:, None, None], r @ r, r)
     return r.reshape(shape)

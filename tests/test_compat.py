@@ -447,8 +447,8 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
         new_total += new_calls
         old_total += calls[0]
     assert len(roots) > 300
-    # Measured: 20.06 against 51.21 calls per root on the landscape (ratio
-    # 0.392), 17.24 against 45.34 in the optimizer (0.380).
+    # Measured: 19.20 against 51.21 calls per root on the landscape (ratio
+    # 0.375), 16.44 against 45.33 in the optimizer (0.363).
     assert new_total <= {"landscape-dp": 0.41, "optimize-ad": 0.40}[workload] * old_total
 
 
@@ -456,10 +456,11 @@ def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
     # The double reports C = -1 below lam = 0.2 and 1e-300 above, so each
     # false-position step lands half a bisection width inside the upper end
     # and Illinois halving would take a thousand steps to help.  The pace
-    # rule caps the locate at 2 log2(SCAN_STEP / _WINDOW) + 4 < 77 steps,
-    # the check adds 2, and the replay reads C at no more than 7 midpoints,
-    # which all lie inside the window: 85 calls after the scan at most,
-    # against the bisection's 40.
+    # rule caps the locate on the two-step scan bracket at
+    # 2 log2(2 SCAN_STEP / _WINDOW) + 4 < 79 steps, the check adds 2, and
+    # the replay reads C at no more than 7 midpoints, which all lie inside
+    # the window: 87 calls after the scan at most, against the bisection's
+    # 40, and the strided scan reads 13 points fewer than the oracle's 26.
     x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
     calls = []
 

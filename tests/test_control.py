@@ -229,10 +229,12 @@ def test_landscape_grid_geometry_and_values():
 def test_landscape_mirror_degeneracy_is_exact():
     # negating both amplitudes conjugates the channel by a Bloch x-flip,
     # which the unbiased monotone cannot see.  In floats the mirrored
-    # effects differ only in the sign of their overlap, and expm leaves the
-    # identity coefficients a few ulps off 1, so C is not exactly even in
-    # the overlap: this small grid is bit-for-bit symmetric, but not every
-    # grid is (see the 121x121 test below)
+    # effects differ only in the sign of their overlap: every dephasing slot
+    # exponential has an exact unit first row and column, so the identity
+    # coefficients are exactly 1.  But C adds its two overlap terms in a
+    # fixed order, so it is not exactly even in the overlap: this small grid
+    # is bit-for-bit symmetric, but not every grid is (see the 121x121 test
+    # below)
     s = xz_scenario("dp")
     axis = np.arange(-3.0, 3.0 + 1e-9, 0.75)
     grid = landscape(s, t_drift=2.6, T=2.8, c1_axis=axis, c2_axis=axis)
@@ -241,7 +243,7 @@ def test_landscape_mirror_degeneracy_is_exact():
 
 def test_landscape_mirror_asymmetry_stays_at_rounding_level():
     # The benchmark's 121x121 dephasing grid: 20 cells differ from their
-    # mirror cell, by up to 7.24e-15.
+    # mirror cell, by up to 7.22e-15.
     s = xz_scenario("dp")
     axis = np.linspace(-15.0, 15.0, 121)
     values = landscape(s, t_drift=2.6, T=2.8, c1_axis=axis, c2_axis=axis).values

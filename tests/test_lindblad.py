@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     PROPERTY_SETTINGS,
@@ -29,7 +30,13 @@ from steerctl import (
     propagate_schrodinger,
     propagate_with_jacobian,
 )
-from steerctl.lindblad import _prefixes, _slot_generators, _slot_scans
+from steerctl.lindblad import (
+    _TAYLOR_DEGREE,
+    _THETA,
+    _prefixes,
+    _slot_generators,
+    _slot_scans,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -352,6 +359,54 @@ def test_expm_at_the_defective_critical_amplitude():
         stack = slot_stack(drift, [critical, -critical], dt, False, h=(1.0, 0.0, 0.0))
         for a in (stack, augmented_slots(stack, dt, k)):
             assert np.max(np.abs(expm(a) - scipy.linalg.expm(a))) < SLOT_ATOL
+
+
+def test_taylor_degree_meets_double_precision_backward_error_at_theta():
+    # Al-Mohy and Higham (2011): for ||A||_1 <= theta the degree-m Taylor
+    # polynomial is exp(A + dA) with ||dA|| / ||A|| at most
+    # sum_{k>m} |c_k| theta^(k-1), where sum_k c_k x^k = log(exp(-x) T_m(x)).
+    # The c_k come from the power-series logarithm of T_m, whose nearest
+    # zero lies beyond 2 theta, so 400 terms leave a tail far below 2^-53.
+    m, terms = _TAYLOR_DEGREE, 400
+    with mpmath.workdps(50):
+        t = [1 / mpmath.factorial(k) if k <= m else mpmath.mpf(0) for k in range(terms + 1)]
+        c = [mpmath.mpf(0)] * (terms + 1)
+        for k in range(1, terms + 1):
+            c[k] = t[k] - mpmath.fsum(j * c[j] * t[k - j] for j in range(1, k)) / k
+        # log T_m(x) = x + O(x^(m+1)), so exp(-x) cancels every term up to m.
+        assert c[1] == 1 and all(abs(v) < 1e-45 for v in c[2 : m + 1])
+
+        def bound(theta):
+            return mpmath.fsum(abs(c[k]) * theta ** (k - 1) for k in range(m + 1, terms + 1))
+
+        theta = mpmath.mpf(_THETA)
+        assert abs(c[terms]) * theta ** (terms - 1) < 1e-30 * 2.0**-53
+        assert bound(theta) <= 2.0**-53
+        # theta is the largest such norm to nine digits, so no squaring is wasted.
+        assert bound(theta * (1 + 1e-9)) > 2.0**-53
+
+
+#: Stacks of three 4x4 matrices with entries up to 8: 1-norms up to 32, so
+#: the kernel squares up to four times.
+small_stacks = arrays(float, (3, 4, 4), elements=st.floats(-8.0, 8.0))
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(a=small_stacks, e=arrays(float, (4, 4), elements=st.floats(-8.0, 8.0)), row=st.booleans())
+def test_zero_first_column_or_row_gives_an_exact_unit_one(a, e, row):
+    # A zero first column (row) of A and E stays zero in every power of A
+    # and of the Frechet block, so exp(A) has exactly the identity's first
+    # column (row) and the derivative along E a zero one, on any BLAS
+    # kernel.  Unital drifts have a zero first column, dephasing also a
+    # zero first row.
+    first = (lambda mat: mat[..., 0, :]) if row else (lambda mat: mat[..., :, 0])
+    first(a)[...] = 0.0
+    first(e)[...] = 0.0
+    unit = np.eye(4)[0]
+    assert (first(expm(a)) == unit).all()
+    value, deriv = expm_frechet(a, e)
+    assert (first(value) == unit).all()
+    assert (first(deriv) == 0.0).all()
 
 
 def test_expm_frechet_against_scipy():
