@@ -11,16 +11,19 @@ effect with biased classical noise,
     N_{lam,b}(x) = ((1-lam)*x0 + 2*lam*p, (1-lam)*x_vec),  p = (1+b)/2,
 
 restores compatibility at some weight lam; the smallest such lam in (0, 1/2]
-is the incompatibility robustness, zero for compatible pairs.  Its gradient
-with respect to the effects follows from implicit differentiation of
-C(N_lam(x1), N_lam(x2)) = 0 at the root.
+is the incompatibility robustness, zero for compatible pairs.
 
 C depends on a pair only through five scalars (the two identity coefficients,
 the two Bloch norms, and the Bloch overlap), and classical noise acts on those
-scalars directly, so each trial weight costs one evaluation of C.  The root
-finder brackets the first sign change of C on a 64-point grid, locates it by
-Illinois false position, and returns what bisecting the scan bracket gives,
-reading the sign of C only inside a checked window around the located root.
+scalars directly, so each trial weight costs one evaluation of C.  The
+gradient of the robustness with respect to the effects follows from implicit
+differentiation of C(N_lam(x1), N_lam(x2)) = 0 at the root, through the
+partials of C in the same five scalars.
+
+The root finder brackets the first sign change of C on a 64-point grid,
+locates it by Illinois false position, and returns what bisecting the scan
+bracket gives, reading the sign of C only inside a checked window around the
+located root.
 
 The scan reads every second grid point, and bisecting its two-step bracket
 gives the one-step scan's root bit for bit: on this grid the bracket's
@@ -30,8 +33,8 @@ post-processing a jointly measurable pair keeps it jointly measurable, so
 compatibility at lam implies it at every larger weight.
 
 The root finder and the gradient both run on Python floats in a fixed
-order: every Minkowski form is a left-to-right sum of four products, with no
-BLAS dot, so their bits do not depend on the host's BLAS kernel.
+order, with no BLAS call, so their bits do not depend on the host's BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -259,11 +262,15 @@ def _gradient_at_root(
 ) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
     """(dI/dx1, dI/dx2) given the root lam in (0, 1/2) for the pair.
 
-    Implicit differentiation of C(N(x1), N(x2)) = 0: dI/dx_i is
-    -(1 - lam) / (dC/dlam) times the total derivative g_i of C with respect
-    to the noisy effect y_i = N(x_i), which includes the chain through its
-    complement (d y_perp / d y is minus the identity).  Every Minkowski form
-    is a left-to-right sum of four products on Python floats.
+    Implicit differentiation of C(N(x1), N(x2)) = 0 through the partials
+    of _c_scalar in the five noisy pair scalars.  Those are formed with the
+    expressions of c_at in _smallest_root, so this differentiates the C the
+    root finder evaluates.  Along lam, a0 and b0 change at the rates
+    2p - x1_0 and 2p - x2_0, and |a|^2, |b|^2 and a.b, each u^2 times its
+    noiseless value with u = 1 - lam, at -2/u times their own values.
+    dI/dx_i is -(dC/dx_i) / (dC/dlam), where dC/dx1 is
+    (u dC/da0, u^2 (2 dC/d|a|^2 a + dC/d(a.b) b)) with a, b the Bloch
+    vectors of x1, x2, and dC/dx2 its mirror image.
 
     Raises:
         NotDifferentiableError: if a noisy effect at the root is sharp.
@@ -272,67 +279,47 @@ def _gradient_at_root(
     p = 0.5 * (1.0 + b)
     u = 1.0 - lam
     shift = 2.0 * lam * p
-    a0 = u * x1[0] + shift
-    a1 = u * x1[1]
-    a2 = u * x1[2]
-    a3 = u * x1[3]
-    b0 = u * x2[0] + shift
-    b1 = u * x2[1]
-    b2 = u * x2[2]
-    b3 = u * x2[3]
+    u2 = u * u
+    a0, va, b0, vb, d = _pair_scalars(x1, x2)
+    # The noisy pair scalars, formed as c_at in _smallest_root forms them.
+    a0, va, b0, vb, d = u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d
     ta = 2.0 - a0
     tb = 2.0 - b0
-    # Minkowski norms of y1, y1_perp, y2, y2_perp.
-    n1 = a0 * a0 - a1 * a1 - a2 * a2 - a3 * a3
-    n1p = ta * ta - a1 * a1 - a2 * a2 - a3 * a3
-    n2 = b0 * b0 - b1 * b1 - b2 * b2 - b3 * b3
-    n2p = tb * tb - b1 * b1 - b2 * b2 - b3 * b3
-    if min(n1, n1p) <= _UNSHARP_TOL or min(n2, n2p) <= _UNSHARP_TOL:
+    # Minkowski norms of both noisy effects and of their complements.
+    na = a0 * a0 - va
+    nap = ta * ta - va
+    nb = b0 * b0 - vb
+    nbp = tb * tb - vb
+    if min(na, nap) <= _UNSHARP_TOL or min(nb, nbp) <= _UNSHARP_TOL:
         raise NotDifferentiableError(
             "a noisy effect at the root is sharp; the square root in C is not differentiable"
         )
-    # Cross forms; a trailing p in a name marks a complement.
-    m11p = a0 * ta + a1 * a1 + a2 * a2 + a3 * a3
-    m22p = b0 * tb + b1 * b1 + b2 * b2 + b3 * b3
-    m12p = a0 * tb + a1 * b1 + a2 * b2 + a3 * b3
-    m1p2 = ta * b0 + a1 * b1 + a2 * b2 + a3 * b3
-    m12 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    m1p2p = ta * tb - a1 * b1 - a2 * b2 - a3 * b3
-    s = math.sqrt(n1 * n1p * n2 * n2p)
-    k1 = n1p * n2 * n2p / s
-    k1p = n1 * n2 * n2p / s
-    k2 = n1 * n1p * n2p / s
-    k2p = n1 * n1p * n2 / s
-    # g1 = dC/dy1 - dC/dy1_perp with the four slots of C independent; the
-    # Minkowski metric flips the sign of each Bloch component.
-    g1 = (
-        (k1 * a0 - m22p * ta + m1p2 * tb + m1p2p * b0)
-        - (k1p * ta - m22p * a0 + m12p * b0 + m12 * tb),
-        *(
-            (-k1 * ai - m22p * ai + m1p2 * bi - m1p2p * bi)
-            - (k1p * ai + m22p * ai - m12p * bi + m12 * bi)
-            for ai, bi in ((a1, b1), (a2, b2), (a3, b3))
-        ),
-    )
-    g2 = (
-        (k2 * b0 - m11p * tb + m12p * ta + m1p2p * a0)
-        - (k2p * tb - m11p * b0 + m1p2 * a0 + m12 * ta),
-        *(
-            (-k2 * bi - m11p * bi + m12p * ai - m1p2p * ai)
-            - (k2p * bi + m11p * bi - m1p2 * ai + m12 * ai)
-            for ai, bi in ((a1, b1), (a2, b2), (a3, b3))
-        ),
-    )
-    # dN/dlam at fixed x is (2p - x0, -x_vec).
+    # The square root and the factors of the three products in _c_scalar.
+    s = math.sqrt(na * nap * nb * nbp)
+    qa = a0 * ta + va
+    qb = b0 * tb + vb
+    e1 = a0 * tb + d
+    e2 = ta * b0 + d
+    f1 = a0 * b0 - d
+    f2 = ta * tb - d
+    dc_a0 = s * (a0 / na - ta / nap) - (ta - a0) * qb + tb * e2 - b0 * e1 + b0 * f2 - tb * f1
+    dc_b0 = s * (b0 / nb - tb / nbp) - (tb - b0) * qa + ta * e1 - a0 * e2 + a0 * f2 - ta * f1
+    dc_va = -0.5 * s * (1.0 / na + 1.0 / nap) - qb
+    dc_vb = -0.5 * s * (1.0 / nb + 1.0 / nbp) - qa
+    dc_d = e1 + e2 - f1 - f2
     dc_dlam = (
-        g1[0] * (2.0 * p - x1[0]) - g1[1] * x1[1] - g1[2] * x1[2] - g1[3] * x1[3]
-    ) + (g2[0] * (2.0 * p - x2[0]) - g2[1] * x2[1] - g2[2] * x2[2] - g2[3] * x2[3])
+        dc_a0 * (2.0 * p - x1[0])
+        + dc_b0 * (2.0 * p - x2[0])
+        - (2.0 / u) * (va * dc_va + vb * dc_vb + d * dc_d)
+    )
     if abs(dc_dlam) < _DEGENERATE_TOL:
         raise DegenerateRootError(
             f"dC/dlam = {dc_dlam:.3e} at the root; implicit differentiation is ill-posed"
         )
-    scale = -u / dc_dlam
-    return tuple(scale * g for g in g1), tuple(scale * g for g in g2)
+    k = -u / dc_dlam
+    g1 = (k * dc_a0, *(k * (u * (2.0 * dc_va * x1[i] + dc_d * x2[i])) for i in (1, 2, 3)))
+    g2 = (k * dc_b0, *(k * (u * (2.0 * dc_vb * x2[i] + dc_d * x1[i])) for i in (1, 2, 3)))
+    return g1, g2
 
 
 def robustness_gradient(

@@ -74,6 +74,9 @@ class OptimizeConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        # numpy seeds only from nonnegative integers; check here, before any run.
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def dt(self) -> float:
@@ -345,12 +348,15 @@ def landscape(
     T = float(T)
     if not 0.0 <= t_drift < T < np.inf:
         raise ValueError(f"need 0 <= t_drift < T < inf, got t_drift={t_drift}, T={T}")
+    c1s = np.asarray(c1_axis, dtype=float)
+    c2s = np.asarray(c2_axis, dtype=float)
+    for name, axis in (("c1_axis", c1s), ("c2_axis", c2s)):
+        if axis.ndim != 1 or axis.size == 0 or not np.isfinite(axis).all():
+            raise ValueError(f"{name} must be a nonempty 1-D sequence of finite amplitudes")
     evaluator = ScenarioEvaluator(s)
     l0 = evaluator.drift_generator
     k = evaluator.control_generator
     dt = 0.5 * (T - t_drift)
-    c1s = np.asarray(c1_axis, dtype=float)
-    c2s = np.asarray(c2_axis, dtype=float)
     drift_part = expm(t_drift * l0)
     slot1 = expm(_slot_generators(l0, k, dt, c1s))
     slot2 = expm(_slot_generators(l0, k, dt, c2s))

@@ -122,6 +122,26 @@ def test_optimize_command_and_seed_override(tmp_path):
     assert third["start_values"] != first["start_values"]
 
 
+@pytest.mark.parametrize("config_seed, flag", [(-1, []), (0, ["--seed", "-1"])])
+def test_negative_seed_is_a_usage_error_before_any_run(
+    tmp_path, monkeypatch, capsys, config_seed, flag
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(cli, "optimize", no_run)
+    config = write_config(
+        tmp_path,
+        {
+            "scenario": AD_SCENARIO,
+            "optimize": {"T": 1.0, "m": 4, "n_starts": 2, "seed": config_seed, "max_iters": 40},
+        },
+    )
+    assert main(["optimize", "--config", config, "--out", str(tmp_path / "r"), *flag]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_invalid_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STEERCTL_THREADS", "abc")
     config = write_config(

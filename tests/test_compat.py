@@ -168,19 +168,27 @@ def test_robustness_increases_with_sharpness():
     assert values[0] < values[1] < values[2]
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(27)
-    for _ in range(30):
-        x1, x2 = random_incompatible_pair(rng)
-        b = rng.uniform(-0.6, 0.6)
-        g1, g2 = robustness_gradient(x1, x2, b)
-        analytic = np.concatenate([g1.as_array(), g2.as_array()])
+@settings(**PROPERTY_SETTINGS)
+@given(x1=effects, x2=effects, b=st.floats(-0.9, 0.9))
+def test_gradient_matches_finite_differences(x1, x2, b):
+    lam = robustness(x1, x2, b)
+    assume(0.0 < lam < 0.5)
+    # The central difference steps each component by 1e-6.  Keep every noisy
+    # norm and dC/dlam a thousand steps clear of zero, far from _UNSHARP_TOL
+    # and _DEGENERATE_TOL, where the gradient raises instead, and the root a
+    # hundred steps clear of the kink where the compatible region begins.
+    t1, t2 = x1.as_tuple(), x2.as_tuple()
+    assume(min(noisy_norms(t1, t2, b, lam)) > 1e-3)
+    assume(abs(noisy_dc_dlam(t1, t2, b, lam)) > 1e-3)
+    assume(lam > 1e-4)
+    g1, g2 = robustness_gradient(x1, x2, b)
+    analytic = np.concatenate([g1.as_array(), g2.as_array()])
 
-        def value_at(z: np.ndarray) -> float:
-            return robustness(FourVector.from_array(z[:4]), FourVector.from_array(z[4:]), b)
+    def value_at(z: np.ndarray) -> float:
+        return robustness(FourVector.from_array(z[:4]), FourVector.from_array(z[4:]), b)
 
-        numeric = central_difference(value_at, np.concatenate([x1.as_array(), x2.as_array()]))
-        assert relative_gradient_error(analytic, numeric) < 1e-5
+    numeric = central_difference(value_at, np.concatenate([x1.as_array(), x2.as_array()]))
+    assert relative_gradient_error(analytic, numeric) < 1e-5
 
 
 def test_gradient_shrink_direction_closed_form():
@@ -529,9 +537,11 @@ def test_closed_forms_with_the_root_on_a_scan_point():
 
 
 # --- the implicit gradient before it ran on Python floats --------------------
-# A verbatim copy of the numpy path as it stood when the Minkowski forms were
-# 4-element dot products.  Those dots went through BLAS, whose kernels round
-# in their own order, so the float routine matches it only to rounding.
+# A verbatim copy of the numpy path as it stood when the gradient was built
+# from Minkowski forms taken as 4-element dot products.  Those dots went
+# through BLAS, whose kernels round in their own order, and the float routine
+# now takes the partials of C in the five pair scalars instead, so the two
+# agree only to rounding.
 
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -598,6 +608,15 @@ def noisy_norms(x1, x2, b, lam):
     return norms
 
 
+def noisy_dc_dlam(x1, x2, b, lam):
+    """dC/dlam of the reference; the noisy effects must be unsharp."""
+    p = 0.5 * (1.0 + b)
+    g1, g2 = _c_gradients(_noise_map(x1, lam, p), _noise_map(x2, lam, p))
+    u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
+    u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
+    return float(g1 @ u1 + g2 @ u2)
+
+
 def near(value, threshold):
     return abs(value - threshold) <= 1e-6 * threshold
 
@@ -609,11 +628,7 @@ def near_a_threshold(x1, x2, b, lam):
         return True
     if min(norms) <= _UNSHARP_TOL:
         return False
-    p = 0.5 * (1.0 + b)
-    g1, g2 = _c_gradients(_noise_map(x1, lam, p), _noise_map(x2, lam, p))
-    u1 = np.array([2.0 * p - x1[0], -x1[1], -x1[2], -x1[3]])
-    u2 = np.array([2.0 * p - x2[0], -x2[1], -x2[2], -x2[3]])
-    return near(abs(float(g1 @ u1 + g2 @ u2)), _DEGENERATE_TOL)
+    return near(abs(noisy_dc_dlam(x1, x2, b, lam)), _DEGENERATE_TOL)
 
 
 def gradient_outcome(f, x1, x2, b, lam):

@@ -43,6 +43,9 @@ def test_optimize_config_validation():
         OptimizeConfig(T=1.0, amp_bounds=(-1e308, 1e308))
     with pytest.raises(ValueError):
         OptimizeConfig(T=1.0, amp_bounds=(-float("inf"), 1.0))
+    # a negative seed fails here, not at the first random start
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        OptimizeConfig(T=1.0, seed=-1)
     cfg = OptimizeConfig(T=2.8, m=20)
     assert cfg.dt == pytest.approx(0.14)
     # counts are never truncated: a fractional one raises and names its field
@@ -258,6 +261,22 @@ def test_landscape_rejects_bad_drift_window():
         landscape(s, t_drift=-0.1, T=2.8, c1_axis=[0.0], c2_axis=[0.0])
     with pytest.raises(ValueError):
         landscape(s, t_drift=0.0, T=float("inf"), c1_axis=[0.0], c2_axis=[0.0])
+
+
+@pytest.mark.parametrize("name", ["c1_axis", "c2_axis"])
+@pytest.mark.parametrize(
+    "bad",
+    [[], [[0.0, 1.0]], [0.0, float("nan")], [float("inf")]],
+    ids=["empty", "2-D", "nan", "inf"],
+)
+def test_landscape_rejects_a_bad_axis_before_any_exponential(monkeypatch, name, bad):
+    def no_expm(*args, **kwargs):
+        raise AssertionError("an exponential was taken")
+
+    monkeypatch.setattr(control, "expm", no_expm)
+    axes = {"c1_axis": [0.0], "c2_axis": [0.0], name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        landscape(xz_scenario("ad"), t_drift=2.6, T=2.8, **axes)
 
 
 def test_time_sweep_rows():
