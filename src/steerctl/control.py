@@ -119,6 +119,8 @@ class LandscapeGrid:
             raise ValueError(
                 f"values shape {vals.shape} does not match axes ({c1.size}, {c2.size})"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("landscape values must be finite")
         if vals.min() < -1e-12 or vals.max() > 0.5 + 1e-12:
             raise ValueError("landscape values outside the monotone range [0, 1/2]")
         for name, arr in (("c1_axis", c1), ("c2_axis", c2), ("values", vals)):

@@ -10,14 +10,17 @@ here reverses that order, so
 with L_c = L_0 + c * K acting on effect 4-vectors: L_0 is the drift
 generator's matrix and K = control_matrix(h).
 
-Every matrix exponential goes through one kernel, ``expm``, which takes a
-whole (n, k, k) stack at once: scaling and squaring with the degree-25
-Taylor polynomial (Al-Mohy and Higham 2011), each matrix scaled by its own
-power of two, in stacked products alone.  No eigendecomposition is used:
-L_0 + c*K is defective at the amplitude where damped rotation is critically
-damped.  No linear solve is used either, so the unit first column of every
-slot exponential of a unital drift (and the unit first row under
-dephasing) is exact.
+Every matrix exponential is scaling and squaring with the degree-25 Taylor
+polynomial (Al-Mohy and Higham 2011), each matrix scaled by its own power
+of two, in stacked products alone.  ``expm`` serves any (n, k, k) stack,
+evaluating the polynomial by Paterson-Stockmeyer.  The pulse slots, whose
+blocks differ only in the amplitude c, evaluate the same approximant as a
+polynomial in c instead: its coefficients for a (drift, control, dt) are
+built once and cached, so a slot costs one 26-term product and its
+squarings.  No eigendecomposition is used: L_0 + c*K is defective at the
+amplitude where damped rotation is critically damped.  No linear solve is
+used either, so the unit first column of every slot exponential of a
+unital drift (and the unit first row under dephasing) is exact.
 
 Exact derivatives of M with respect to the amplitudes come from Frechet
 derivatives: the top-right block F_k of exp([[dt*L_k, dt*K], [0, dt*L_k]])
@@ -32,13 +35,14 @@ factors) yields both: ceil(log2(m)) stacked products rather than 2m
 sequential ones.
 
 Every pulse channel is built this one way, values included: M is the last
-prefix of a scan over the Frechet-block factors E_k.  A value alone scans
+prefix of a scan over the slot-block factors E_k.  A value alone scans
 only the factors, not the stacked pair, and gets the same prefixes bit for
 bit, so a value and a value with its gradient see the same M.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -259,9 +263,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     r = blocks[-1]
     for block in blocks[-2::-1]:
         r = r @ powers[-1] + block
+    return _square(r, s).reshape(shape)
+
+
+def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Square matrix i of the (n, k, k) stack r s_i times, each on its own."""
     for step in range(int(s.max(initial=0))):
         r = np.where((s > step)[:, None, None], r @ r, r)
-    return r.reshape(shape)
+    return r
 
 
 def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,19 +298,156 @@ def _slot_generators(
     return dt * (l0[None, :, :] + amps[:, None, None] * k[None, :, :])
 
 
-def _prefixes(factors: np.ndarray) -> np.ndarray:
-    """Products of the first j slot factors, j = 0..m: out[0] = I, out[m] = M.
+def _sublevel_intervals(
+    a: np.ndarray, b: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo, hi of the amplitudes c with ||a + c*b||_1 <= t, one pair per threshold.
 
-    factors has shape (m, ..., 4, 4); each index of the middle axes is its
+    Column j's absolute sum g_j(c) = sum_i |a_ij + c*b_ij| is convex and
+    linear between its breakpoints -a_ij/b_ij, and grows by sum_i |b_ij| per
+    unit amplitude beyond them, so each side of its minimum inverts by
+    interpolation.  The 1-norm is the largest column sum, so its sublevel
+    set is the intersection of theirs.  An empty set reads (inf, -inf), so
+    lo falls and hi rises with t.  A bound beyond the float range is
+    infinite.
+    """
+    lo = np.full(t.shape, -np.inf)
+    hi = np.full(t.shape, np.inf)
+    with np.errstate(over="ignore"):
+        for aj, bj in zip(a.T, b.T):
+            moves = bj != 0.0
+            if not moves.any():
+                inside = np.abs(aj).sum() <= t
+                lo = np.maximum(lo, np.where(inside, -np.inf, np.inf))
+                hi = np.minimum(hi, np.where(inside, np.inf, -np.inf))
+                continue
+            x = np.unique(-aj[moves] / bj[moves])
+            g = np.abs(aj + x[:, None] * bj).sum(axis=1)
+            slope = np.abs(bj).sum()
+            i = int(np.argmin(g))
+            # np.interp needs rising values; rounding at close breakpoints
+            # could make them dip.
+            up = np.maximum.accumulate(g[i:])
+            down = np.maximum.accumulate(g[i::-1])
+            right = np.where(t > up[-1], x[-1] + (t - up[-1]) / slope, np.interp(t, up, x[i:]))
+            left = np.where(
+                t > down[-1], x[0] - (t - down[-1]) / slope, np.interp(t, down, x[i::-1])
+            )
+            inside = t >= g[i]
+            lo = np.maximum(lo, np.where(inside, left, np.inf))
+            hi = np.minimum(hi, np.where(inside, right, -np.inf))
+    empty = lo > hi
+    lo[empty], hi[empty] = np.inf, -np.inf
+    return lo, hi
+
+
+class _SlotPolynomial:
+    """The slot exponential exp(dt*(LB + c*KB)) of one (drift, control, dt), per amplitude c.
+
+    LB = [[L0, K], [0, L0]] and KB = [[K, 0], [0, K]], so the top-left 4x4
+    corner of the exponential is E = exp(dt*L_c) and the top-right one its
+    derivative F = dE/dc (see expm_frechet).  At scale s the degree-25
+    Taylor polynomial of expm is a polynomial in c: with P = dt*LB/2**s and
+    u = c * 2**(e - s), Q = dt*KB/2**e normed to [1/2, 1),
+
+        sum_{j<=25} (P + u*Q)**j / j! = sum_i u**i G_{s,i},
+
+    whose coefficients follow from the term recurrence T_{j,i} = (T_{j-1,i}
+    @ P + T_{j-1,i-1} @ Q) / j.  Since ||u*Q||_1 is at most theta_25 plus
+    ||P||_1, |u| stays small at every amplitude and u**25 cannot overflow.
+    s is expm's scale, the smallest s >= 0 with ||dt*(LB + c*KB)||_1 <=
+    theta_25 * 2**s, read off the amplitude intervals where each s suffices;
+    they are computed once, and the coefficients of a scale when an
+    amplitude first needs it, with the same bits whichever call needs it
+    first.  Every product is stacked per slot, so a slot's block does not
+    depend on the other slots of its pulse, and a zero first column (row) of
+    LB and KB leaves an exact unit first column (row), as in expm.
+    """
+
+    def __init__(self, l0: np.ndarray, k: np.ndarray, dt: float):
+        zero = np.zeros((4, 4))
+        self._drift = dt * np.block([[l0, k], [zero, l0]])
+        control = dt * np.block([[k, zero], [zero, k]])
+        norm = np.abs(control).sum(axis=0).max()
+        # A zero control leaves no amplitude dependence; its u is 0 at every c.
+        self._e = math.frexp(norm)[1] if norm else -2100
+        self._control = np.ldexp(control, -self._e)
+        # theta * 2**1023 overflows, so the last scale takes every amplitude.
+        with np.errstate(over="ignore"):
+            thresholds = np.ldexp(_THETA, np.arange(1024))
+        lo, hi = _sublevel_intervals(self._drift, control, thresholds)
+        self._neg_lo, self._hi = -lo, hi
+        # Coefficients of the scales built so far, and each scale's row.
+        self._built = (np.empty((0, _TAYLOR_DEGREE + 1, 64)), np.full(thresholds.size, -1))
+
+    def _coefficients(self, s: int) -> np.ndarray:
+        p = np.ldexp(self._drift, -s)
+        coeffs = np.zeros((_TAYLOR_DEGREE + 1, 8, 8))
+        terms = np.eye(8)[None]
+        coeffs[0] = terms[0]
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            nxt = np.zeros((j + 1, 8, 8))
+            nxt[:j] = terms @ p
+            nxt[1:] += terms @ self._control
+            terms = nxt / j
+            coeffs[: j + 1] += terms
+        return coeffs.reshape(_TAYLOR_DEGREE + 1, 64)
+
+    def scales(self, amplitudes: np.ndarray) -> np.ndarray:
+        """expm's scale of each amplitude's block: the number of (nested) intervals without it."""
+        return np.maximum(
+            np.searchsorted(self._hi, amplitudes), np.searchsorted(self._neg_lo, -amplitudes)
+        )
+
+    def blocks(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The (m, 8, 8) slot exponentials of the amplitudes."""
+        s = self.scales(amplitudes)
+        table, rows = self._built
+        missing = rows[s] < 0
+        if missing.any():
+            # A fresh pair, swapped in whole, so concurrent callers stay consistent.
+            new = np.unique(s[missing])
+            rows = rows.copy()
+            rows[new] = len(table) + np.arange(new.size)
+            table = np.concatenate([table, [self._coefficients(int(v)) for v in new]])
+            self._built = (table, rows)
+        u = np.ldexp(amplitudes, self._e - s)
+        powers = np.vander(u, _TAYLOR_DEGREE + 1, increasing=True)
+        r = (powers[:, None, :] @ table[rows[s]]).reshape(-1, 8, 8)
+        return _square(r, s)
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_polynomial(l0: bytes, k: bytes, dt: float) -> _SlotPolynomial:
+    """The shared _SlotPolynomial of a (drift, control, dt), keyed by the matrices' bytes."""
+    return _SlotPolynomial(
+        np.frombuffer(l0).reshape(4, 4), np.frombuffer(k).reshape(4, 4), dt
+    )
+
+
+def _slot_blocks(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> np.ndarray:
+    """exp([[dt*L_c, dt*K], [0, dt*L_c]]) for every slot amplitude c, an (m, 8, 8) stack.
+
+    The top-left corners are the slot factors E_k, the top-right ones their
+    derivatives F_k.
+    """
+    poly = _slot_polynomial(l0.tobytes(), k.tobytes(), float(dt))
+    return poly.blocks(np.asarray(amplitudes, dtype=float))
+
+
+def _scan(out: np.ndarray) -> np.ndarray:
+    """Turn slot factors out[1:] into their prefix products in place, with out[0] = I.
+
+    out has shape (m + 1, ..., 4, 4); each index of the middle axes is its
     own sequence of m factors.  A log-depth scan: after the pass with
     stride d each entry holds the product of up to 2d consecutive factors,
     so m sequential 4x4 products become ceil(log2(m)) stacked ones.
     """
-    m = factors.shape[0]
-    out = np.empty((m + 1,) + factors.shape[1:])
     out[0] = np.eye(4)
-    out[1:] = factors
     scan = out[1:]
+    m = len(scan)
     stride = 1
     while stride < m:
         scan[stride:] = scan[:-stride] @ scan[stride:]
@@ -309,20 +455,30 @@ def _prefixes(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prefixes(factors: np.ndarray) -> np.ndarray:
+    """Products of the first j slot factors, j = 0..m: out[0] = I, out[m] = M."""
+    out = np.empty((len(factors) + 1,) + factors.shape[1:])
+    out[1:] = factors
+    return _scan(out)
+
+
 def _slot_scans(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefixes P_0..P_m, derivatives F_1..F_m and suffixes S_1..S_m of a pulse.
 
-    E_k and F_k are blocks of the exponential of the augmented (m, 8, 8)
-    stack [[dt*L_k, dt*K], [0, dt*L_k]]: E_k top-left, F_k top-right.  The
-    suffix S_k = E_{k+1}...E_m is the transpose of a prefix of the reversed,
-    transposed factors, so one scan over the stacked pair (factors, reversed
-    transposed factors) gives both.
+    E_k and F_k are the corners of the slot blocks of _slot_blocks, the
+    amplitude polynomial of expm's Taylor approximant.  The suffix S_k =
+    E_{k+1}...E_m is the transpose of a prefix of the reversed, transposed
+    factors, so one scan over the pair (factors, reversed transposed
+    factors), copied straight into its buffer, gives both.
     """
-    factors, frechet = expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
-    scans = _prefixes(np.stack([factors, factors[::-1].transpose(0, 2, 1)], axis=1))
-    return scans[:, 0], frechet, scans[-2::-1, 1].transpose(0, 2, 1)
+    blocks = _slot_blocks(l0, k, dt, amplitudes)
+    scans = np.empty((len(blocks) + 1, 2, 4, 4))
+    scans[1:, 0] = blocks[:, :4, :4]
+    scans[1:, 1] = blocks[::-1, :4, :4].transpose(0, 2, 1)
+    _scan(scans)
+    return scans[:, 0], blocks[:, :4, 4:], scans[-2::-1, 1].transpose(0, 2, 1)
 
 
 def _channel(
@@ -330,12 +486,11 @@ def _channel(
 ) -> TransferMatrix:
     """M alone, for callers that need no gradient.
 
-    The factors are the same Frechet-block corners _slot_scans takes, and a
+    The factors are the same slot-block corners _slot_scans takes, and a
     scan over them alone gives bit for bit the prefixes of its stacked scan,
     so M is the same; only the suffix half of the scan is skipped.
     """
-    factors, _ = expm_frechet(_slot_generators(l0, k, dt, amplitudes), dt * k)
-    return _prefixes(factors)[-1]
+    return _prefixes(_slot_blocks(l0, k, dt, amplitudes)[:, :4, :4])[-1]
 
 
 def _propagate_with_vjp(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE, controls, drifts, pulses, xz_scenario
 from steerctl import (
+    LandscapeGrid,
     OptimizeConfig,
     PulseSequence,
     ScenarioEvaluator,
@@ -277,6 +278,13 @@ def test_landscape_rejects_a_bad_axis_before_any_exponential(monkeypatch, name, 
     axes = {"c1_axis": [0.0], "c2_axis": [0.0], name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         landscape(xz_scenario("ad"), t_drift=2.6, T=2.8, **axes)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_landscape_grid_rejects_non_finite_values(bad):
+    # NaN passes every range comparison, so it needs its own check.
+    with pytest.raises(ValueError, match="^landscape values must be finite$"):
+        LandscapeGrid(0.0, 1.0, [0.0], [0.0, 0.0], [[0.1, bad]])
 
 
 def test_time_sweep_rows():

@@ -1,6 +1,8 @@
 """Transfer-matrix dynamics: generators, propagation, and exact derivatives."""
 
 import pickle
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from conftest import (
     choi_matrix,
     controls,
     dp_transfer,
+    drifts,
     is_unital,
 )
 from steerctl import (
@@ -34,7 +37,9 @@ from steerctl.lindblad import (
     _TAYLOR_DEGREE,
     _THETA,
     _prefixes,
-    _slot_generators,
+    _SlotPolynomial,
+    _slot_blocks,
+    _slot_polynomial,
     _slot_scans,
 )
 
@@ -495,7 +500,8 @@ def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
     l0, k, dt = g.matrix, control_matrix(h), 1.4 / m
     amps = tuple(rng.uniform(-15.0, 15.0, size=m))
     prefixes, frechet, suffixes = _slot_scans(l0, k, dt, amps)
-    factors, ref_frechet = expm_frechet(_slot_generators(l0, k, dt, amps), dt * k)
+    blocks = _slot_blocks(l0, k, dt, amps)
+    factors, ref_frechet = blocks[:, :4, :4], blocks[:, :4, 4:]
     forward = _prefixes(factors)
     backward = _prefixes(factors[::-1].transpose(0, 2, 1))
     assert frechet.tobytes() == ref_frechet.tobytes()
@@ -510,3 +516,167 @@ def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
     assert len(jac) == m
     for j in range(m):
         assert jac[j].tobytes() == (forward[j] @ ref_frechet[j] @ ref_suffixes[j]).tobytes()
+
+
+# --- slot blocks: the Taylor approximant as a polynomial in the amplitude ---
+
+#: Amplitudes anywhere in the [-15, 15] box, its edges drawn on their own.
+box_amplitudes = st.sampled_from([-15.0, 15.0]) | st.floats(-15.0, 15.0)
+
+#: Slot lengths from a fine m = 100 grid up to a single slot of T = 2.8.
+slot_lengths = st.sampled_from([SLOT_DT, 20 * SLOT_DT]) | st.floats(0.01, 2.8)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    drift=drifts,
+    h=controls,
+    dt=slot_lengths,
+    amplitudes=st.lists(box_amplitudes, min_size=1, max_size=20),
+    data=st.data(),
+)
+def test_slot_block_does_not_depend_on_its_pulse(drift, h, dt, amplitudes, data):
+    k = control_matrix(h)
+    blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
+    j = data.draw(st.integers(0, len(amplitudes) - 1))
+    alone = _slot_blocks(drift.matrix, k, dt, [amplitudes[j]])
+    assert alone.shape == (1, 8, 8)
+    assert alone[0].tobytes() == blocks[j].tobytes()
+    # and inside another pulse, at another position
+    other = data.draw(st.lists(box_amplitudes, min_size=1, max_size=20))
+    at = data.draw(st.integers(0, len(other)))
+    mixed = _slot_blocks(drift.matrix, k, dt, other[:at] + [amplitudes[j]] + other[at:])
+    assert mixed[at].tobytes() == blocks[j].tobytes()
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    drift=drifts,
+    h=controls,
+    dt=slot_lengths,
+    amplitudes=st.lists(box_amplitudes, min_size=1, max_size=20),
+)
+def test_slot_factors_keep_an_exact_unit_first_column(drift, h, dt, amplitudes):
+    # Both built-in drifts are unital (zero first column); dephasing also
+    # has a zero first row.  The control generator has both.
+    blocks = _slot_blocks(drift.matrix, control_matrix(h), dt, amplitudes)
+    factors, frechet = blocks[:, :4, :4], blocks[:, :4, 4:]
+    unit = np.eye(4)[0]
+    assert (factors[:, :, 0] == unit).all()
+    assert (frechet[:, :, 0] == 0.0).all()
+    if not drift.matrix[0].any():
+        assert (factors[:, 0, :] == unit).all()
+        assert (frechet[:, 0, :] == 0.0).all()
+
+
+@pytest.mark.parametrize("m", [1, 20])
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_slot_blocks_match_scipy(drift, m):
+    rng = np.random.default_rng(50 + m)
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    l0 = DRIFTS[drift].matrix
+    amplitudes = np.concatenate([[15.0, -15.0, 0.0], rng.uniform(-15.0, 15.0, 37)])
+    for start in range(0, amplitudes.size, m):
+        amps = amplitudes[start:start + m]
+        blocks = _slot_blocks(l0, k, SLOT_DT, amps)
+        assert blocks.shape == (len(amps), 8, 8)
+        for c, block in zip(amps, blocks):
+            value, deriv = scipy.linalg.expm_frechet(SLOT_DT * (l0 + c * k), SLOT_DT * k)
+            assert np.max(np.abs(block[:4, :4] - value)) < SLOT_ATOL
+            assert np.max(np.abs(block[:4, 4:] - deriv)) < SLOT_ATOL
+
+
+@pytest.mark.parametrize("dt", [SLOT_DT, 1.0, 20 * SLOT_DT])
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_slot_blocks_match_a_40_digit_exponential(drift, dt):
+    # At dt = 20 * SLOT_DT the box edge's Frechet block squares seven times.
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    amplitudes = [15.0, -15.0, 0.0, 7.3]
+    blocks = _slot_blocks(DRIFTS[drift].matrix, k, dt, amplitudes)
+    with mpmath.workdps(40):
+        for gen, block in zip(slot_stack(DRIFTS[drift], amplitudes, dt, True), blocks):
+            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
+            assert np.max(np.abs(block - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
+
+
+def norm_rule_scales(drift, h, dt, amplitudes):
+    """expm's scale of each slot's generator block, from its 1-norm."""
+    norms = np.abs(slot_stack(drift, amplitudes, dt, True, h.h)).sum(axis=1).max(axis=1)
+    return np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(int)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    drift=drifts | st.builds(DriftGenerator.dephasing, st.floats(0.0, 50.0)),
+    h=controls,
+    dt=slot_lengths,
+    amplitudes=st.lists(box_amplitudes | st.floats(-1e6, 1e6), min_size=1, max_size=20),
+)
+def test_slot_scales_follow_the_norm_rule(drift, h, dt, amplitudes):
+    poly = _slot_polynomial(drift.matrix.tobytes(), control_matrix(h).tobytes(), dt)
+    got = poly.scales(np.array(amplitudes))
+    assert got.tolist() == norm_rule_scales(drift, h, dt, amplitudes).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "drift, h, dt, amplitudes, min_scale",
+    [
+        # zero control: no amplitude dependence, a huge amplitude included
+        (DRIFTS["ad"], (0.0, 0.0, 0.0), SLOT_DT, [15.0, -15.0, 0.0, 1e300], 0),
+        # the diagonal 2 * gamma * dt = 2.8 exceeds theta at every amplitude
+        (DriftGenerator.dephasing(10.0), (0.0, 1.0, 1.0), SLOT_DT, [15.0, -15.0, 0.0], 1),
+        # the whole horizon in one slot, squared three to seven times
+        (DRIFTS["dp"], (0.0, 1.0, 1.0), 20 * SLOT_DT, [15.0, -15.0, 0.0], 3),
+    ],
+    ids=["zero-control", "scaled-drift", "one-slot"],
+)
+def test_slot_blocks_at_the_edges(drift, h, dt, amplitudes, min_scale):
+    control = ControlHamiltonian(h)
+    k = control_matrix(control)
+    poly = _slot_polynomial(drift.matrix.tobytes(), k.tobytes(), dt)
+    scales = poly.scales(np.array(amplitudes))
+    assert scales.tolist() == norm_rule_scales(drift, control, dt, amplitudes).tolist()
+    assert scales.min() == min_scale
+    assert poly.scales(np.array([-1e300, -1.0, 1.0, 1e300])).min() >= min_scale
+    blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
+    with mpmath.workdps(40):
+        for gen, block in zip(slot_stack(drift, amplitudes, dt, True, h), blocks):
+            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
+            assert np.max(np.abs(block - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
+    # m = 1: the public propagators take the same block
+    for c, block in zip(amplitudes, blocks):
+        pulse = PulseSequence(dt, (c,))
+        total, (jac,) = propagate_with_jacobian(drift, control, pulse)
+        assert total.tobytes() == propagate(drift, control, pulse).tobytes()
+        assert total.tobytes() == np.ascontiguousarray(block[:4, :4]).tobytes()
+        assert jac.tobytes() == np.ascontiguousarray(block[:4, 4:]).tobytes()
+
+
+def test_concurrent_first_uses_of_scales_agree_with_a_serial_build():
+    # Each thread's amplitudes need scales nobody has built yet, so the
+    # threads extend the shared coefficient table at the same time; a lost
+    # or misplaced scale would hand some slot the wrong coefficients.
+    l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    pulses = [np.array([c, -c]) * 2.0**j for j in range(4) for c in (1.0, 3.0, 7.0, 15.0)]
+    reference = [_SlotPolynomial(l0, k, SLOT_DT).blocks(p) for p in pulses]
+    for _ in range(5):
+        shared = _SlotPolynomial(l0, k, SLOT_DT)
+        results = [None] * len(pulses)
+
+        def work(i):
+            results[i] = shared.blocks(pulses[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pulses))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(results, reference):
+            assert got.tobytes() == ref.tobytes()

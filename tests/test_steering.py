@@ -53,6 +53,7 @@ from steerctl import (
 )
 from steerctl import steering
 from steerctl.qubit_algebra import PAULI_BASIS
+from test_compat import noisy_dc_dlam, noisy_norms
 
 X = sharp_effect([1.0, 0.0, 0.0])
 Z = sharp_effect([0.0, 0.0, 1.0])
@@ -296,6 +297,65 @@ def test_adjoint_gradient_is_the_explicit_jacobian_contraction(x1, x2, drift, co
     # symmetry of the pair and the gradient is zero.
     size = np.array([sum(abs(a) @ abs(dm) @ abs(x) for a, x in terms) for dm in jac])
     assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)
+
+
+#: Pulses of 1 to 6 slots, with the [-15, 15] box edges drawn on their own.
+short_pulses = st.builds(
+    lambda dt, amps: PulseSequence(dt, tuple(amps)),
+    st.floats(0.02, 0.3),
+    st.lists(st.sampled_from([-15.0, 15.0]) | st.floats(-15.0, 15.0), min_size=1, max_size=6),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(drift=drifts, control=controls, b=st.floats(-0.7, 0.7), pulse=short_pulses)
+def test_pulse_gradient_matches_finite_differences(drift, control, b, pulse):
+    s = SteeringScenario(BipartiteState.max_entangled(), X, Z, drift, control, b)
+    value, grad = steering_value_and_gradient(s, pulse)
+    # The central difference steps each amplitude by 1e-6.  As in the pair
+    # property, keep the root clear of the plateau's kink and every noisy
+    # norm and dC/dlam of the transported pair a thousand steps clear of
+    # zero, where the gradient is ill-conditioned or raises.  As in
+    # acceptance test 07, gradients below the 2e-3 floor, such as the zero
+    # one of a zero control, are compared absolutely.
+    assume(1e-4 < value < 0.5)
+    channel = resource_map(s.rho) @ propagate(drift, control, pulse)
+    y1, y2 = (tuple((channel @ x.as_array()).tolist()) for x in (X, Z))
+    assume(min(noisy_norms(y1, y2, b, value)) > 1e-3)
+    assume(abs(noisy_dc_dlam(y1, y2, b, value)) > 1e-3)
+    evaluator = ScenarioEvaluator(s)
+    numeric = central_difference(lambda c: evaluator.pulse_value(pulse.dt, tuple(c)), pulse.as_array())
+    assert relative_gradient_error(grad, numeric, floor=2e-3) < 1e-5
+
+
+#: Mixtures of the maximally entangled state and a random full-rank one.
+states = st.builds(
+    lambda seed, w: BipartiteState(
+        (1.0 - w) * BipartiteState.max_entangled().matrix
+        + w * random_state(np.random.default_rng(seed)).matrix
+    ),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    rho=states,
+    x1=effects,
+    x2=effects,
+    drift=drifts,
+    control=controls,
+    b=st.floats(-0.9, 0.9),
+    pulse=pulses | short_pulses,
+)
+def test_value_is_in_range_and_every_path_agrees_bit_for_bit(rho, x1, x2, drift, control, b, pulse):
+    s = SteeringScenario(rho, x1, x2, drift, control, b)
+    value = steering_robustness(s, pulse)
+    assert 0.0 <= value < 0.5
+    assert value.hex() == steering_value_and_gradient(s, pulse)[0].hex()
+    total, _ = propagate_with_jacobian(drift, control, pulse)
+    assert propagate(drift, control, pulse).tobytes() == total.tobytes()
 
 
 @settings(**PROPERTY_SETTINGS)
