@@ -37,8 +37,6 @@ from .lindblad import (
     PulseSequence,
     TransferMatrix,
     control_matrix,
-    expm,
-    expm_frechet,
     pauli_transfer_matrix,
     propagate,
     propagate_schrodinger,
@@ -84,8 +82,6 @@ __all__ = [
     "bob_marginal",
     "c_functional",
     "control_matrix",
-    "expm",
-    "expm_frechet",
     "is_jointly_measurable",
     "landscape",
     "naive_optimize",

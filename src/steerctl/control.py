@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_generators, expm
+from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_blocks
 from .steering import ScenarioEvaluator, SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -39,6 +39,12 @@ _FTOL = 1e-12
 #: Bound on the max-norm of the projected gradient passed to L-BFGS-B, so
 #: boundary points with an outward-pointing gradient terminate correctly.
 _GTOL = 1e-6
+
+#: Landscape axis slots per _slot_blocks call.  A call gathers an (n, 26, 64)
+#: coefficient stack, so a whole 61-slot axis would peak at about 0.9 MB.  A
+#: slot's block does not depend on the rest of its call, so chunks keep the
+#: whole axis's bits.
+_AXIS_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -344,7 +350,8 @@ def landscape(
 
     The channel at grid point (c1, c2) applies the drift to the effects
     first, then the c1 slot, then the c2 slot, each of length
-    (T - t_drift)/2.
+    (T - t_drift)/2.  Every factor is a pulse slot exponential, so at
+    t_drift = 0 a cell is the two-slot pulse (c1, c2)'s value bit for bit.
     """
     t_drift = float(t_drift)
     T = float(T)
@@ -359,9 +366,15 @@ def landscape(
     l0 = evaluator.drift_generator
     k = evaluator.control_generator
     dt = 0.5 * (T - t_drift)
-    drift_part = expm(t_drift * l0)
-    slot1 = expm(_slot_generators(l0, k, dt, c1s))
-    slot2 = expm(_slot_generators(l0, k, dt, c2s))
+
+    def factors(axis: np.ndarray) -> np.ndarray:
+        chunks = [axis[i : i + _AXIS_CHUNK] for i in range(0, axis.size, _AXIS_CHUNK)]
+        return np.concatenate([_slot_blocks(l0, k, dt, c)[:, :4, :4] for c in chunks])
+
+    # The drift window is a zero-amplitude slot of length t_drift.
+    drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :4, :4]
+    slot1 = factors(c1s)
+    slot2 = factors(c2s)
     values = np.empty((c1s.size, c2s.size))
     for i in range(c1s.size):
         head = drift_part @ slot1[i]

@@ -10,34 +10,32 @@ here reverses that order, so
 with L_c = L_0 + c * K acting on effect 4-vectors: L_0 is the drift
 generator's matrix and K = control_matrix(h).
 
-Every matrix exponential is scaling and squaring with the degree-25 Taylor
-polynomial (Al-Mohy and Higham 2011), each matrix scaled by its own power
-of two, in stacked products alone.  ``expm`` serves any (n, k, k) stack,
-evaluating the polynomial by Paterson-Stockmeyer.  The pulse slots, whose
-blocks differ only in the amplitude c, evaluate the same approximant as a
-polynomial in c instead: its coefficients for a (drift, control, dt) are
-built once and cached, so a slot costs one 26-term product and its
-squarings.  No eigendecomposition is used: L_0 + c*K is defective at the
-amplitude where damped rotation is critically damped.  No linear solve is
-used either, so the unit first column of every slot exponential of a
-unital drift (and the unit first row under dephasing) is exact.
+Every exponential is one kernel: scaling and squaring with the degree-25
+Taylor polynomial (Al-Mohy and Higham 2011) of a slot's 8x8 block
+[[dt*L_c, dt*K], [0, dt*L_c]], each block scaled by its own power of two.
+The blocks of one (drift, control, dt) differ only in the amplitude c, so
+the approximant is evaluated as a polynomial in c: its coefficients are
+built once and cached, and a slot costs one 26-term product and its
+squarings.  A drift window of length t is the zero-amplitude slot of length
+t.  No eigendecomposition is used: L_0 + c*K is defective at the amplitude
+where damped rotation is critically damped.  No linear solve is used
+either, so the unit first column of every slot exponential of a unital
+drift (and the unit first row under dephasing) is exact.
 
-Exact derivatives of M with respect to the amplitudes come from Frechet
-derivatives: the top-right block F_k of exp([[dt*L_k, dt*K], [0, dt*L_k]])
-is the derivative of E_k, so dM/dc_k = P_{k-1} @ F_k @ S_k with prefix
-P_{k-1} = E_1...E_{k-1} and suffix S_k = E_{k+1}...E_m.  A cost gradient
-only needs tr(rows @ dM/dc_k @ cols) for every k, an adjoint
-(vector-Jacobian) product: the prefixes, whose last entry is M itself, and
-the suffixes give it for all k at once without forming any dM/dc_k.  The
-transposed suffixes are prefixes of the reversed, transposed factors, so
-one log-depth scan over the stacked pair (factors, reversed transposed
-factors) yields both: ceil(log2(m)) stacked products rather than 2m
-sequential ones.
+The top-right block F_k of a slot's exponential is the derivative of E_k
+(Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009) 1639), so
+dM/dc_k = P_{k-1} @ F_k @ S_k with prefix P_{k-1} = E_1...E_{k-1} and
+suffix S_k = E_{k+1}...E_m.  A cost gradient only needs
+tr(rows @ dM/dc_k @ cols) for every k, an adjoint (vector-Jacobian)
+product: the prefixes, whose last entry is M itself, and the suffixes give
+it for all k at once without forming any dM/dc_k.  The transposed suffixes
+are prefixes of the reversed, transposed factors, so one log-depth scan
+over the stacked pair (factors, reversed transposed factors) yields both:
+ceil(log2(m)) stacked products rather than 2m sequential ones.
 
-Every pulse channel is built this one way, values included: M is the last
-prefix of a scan over the slot-block factors E_k.  A value alone scans
-only the factors, not the stacked pair, and gets the same prefixes bit for
-bit, so a value and a value with its gradient see the same M.
+That scan is the only way a pulse channel is built: M is its last prefix,
+for a value as for a value with its gradient, so the two see the same M
+by construction.
 """
 
 from __future__ import annotations
@@ -217,53 +215,11 @@ def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
     return out + 0.0
 
 
-#: Degree m of the Taylor polynomial, the largest 1-norm at which it meets
-#: double-precision backward error (Al-Mohy and Higham, SIAM J. Sci. Comput.
-#: 33 (2011) 488, Table 3.1), and the Paterson-Stockmeyer step q.
+#: Degree m of the Taylor polynomial and the largest 1-norm at which it
+#: meets double-precision backward error (Al-Mohy and Higham, SIAM J. Sci.
+#: Comput. 33 (2011) 488, Table 3.1).
 _TAYLOR_DEGREE = 25
 _THETA = 2.4285825244
-_PS_STEP = 5
-
-#: Row j maps the powers (I, A, ..., A^q) to the Horner block
-#: sum_{i<q} A^i / (q*j + i)!; the last block also takes A^m / m!.
-_TAYLOR_BLOCKS = np.array(
-    [
-        [1 / math.factorial(_PS_STEP * j + i) for i in range(_PS_STEP)] + [0.0]
-        for j in range(_TAYLOR_DEGREE // _PS_STEP)
-    ]
-)
-_TAYLOR_BLOCKS[-1, -1] = 1 / math.factorial(_TAYLOR_DEGREE)
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a (k, k) matrix or of each matrix in an (n, k, k) stack.
-
-    Scaling and squaring with the degree-25 Taylor polynomial, evaluated by
-    Paterson-Stockmeyer (Higham, Functions of Matrices, SIAM 2008, 4.4.3):
-    matrix i is divided by 2**s_i, s_i = max(0, ceil(log2(||A_i||_1 /
-    theta_25))), and its polynomial is squared s_i times.  The per-matrix
-    scale makes each result independent of the rest of the stack.  Only
-    stacked products are used, so a zero first column (row) of A_i stays
-    zero in every power, and the result's is exactly the identity's.
-    """
-    a = np.asarray(a, dtype=float)
-    shape = a.shape
-    k = shape[-1]
-    a = a.reshape(-1, k, k)
-    norms = np.abs(a).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(int)
-    powers = np.empty((_PS_STEP + 1,) + a.shape)
-    powers[0] = np.eye(k)
-    # A power-of-two scale is exact, so it adds no rounding error.
-    np.multiply(a, np.exp2(-s)[:, None, None], out=powers[1])
-    for i in range(2, _PS_STEP + 1):
-        np.matmul(powers[i - 1], powers[1], out=powers[i])
-    blocks = _TAYLOR_BLOCKS @ powers.reshape(_PS_STEP + 1, -1)
-    blocks = blocks.reshape((len(blocks),) + a.shape)
-    r = blocks[-1]
-    for block in blocks[-2::-1]:
-        r = r @ powers[-1] + block
-    return _square(r, s).reshape(shape)
 
 
 def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -271,31 +227,6 @@ def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     for step in range(int(s.max(initial=0))):
         r = np.where((s > step)[:, None, None], r @ r, r)
     return r
-
-
-def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(A), directional derivative of exp at A along E), for (..., n, n) stacks.
-
-    Both come out of one exponential of the block matrix [[A, E], [0, A]]
-    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009) 1639): the
-    top-left block is exp(A) and the top-right block is the derivative.  E
-    broadcasts against A, so one direction can serve a whole stack.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    block = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
-    block[..., :n, :n] = a
-    block[..., :n, n:] = e
-    block[..., n:, n:] = a
-    f = expm(block)
-    return f[..., :n, :n], f[..., :n, n:]
-
-
-def _slot_generators(
-    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
-) -> np.ndarray:
-    amps = np.asarray(amplitudes, dtype=float)
-    return dt * (l0[None, :, :] + amps[:, None, None] * k[None, :, :])
 
 
 def _sublevel_intervals(
@@ -346,8 +277,8 @@ class _SlotPolynomial:
 
     LB = [[L0, K], [0, L0]] and KB = [[K, 0], [0, K]], so the top-left 4x4
     corner of the exponential is E = exp(dt*L_c) and the top-right one its
-    derivative F = dE/dc (see expm_frechet).  At scale s the degree-25
-    Taylor polynomial of expm is a polynomial in c: with P = dt*LB/2**s and
+    derivative F = dE/dc.  At scale s the degree-25 Taylor polynomial of
+    the scaled block is a polynomial in c: with P = dt*LB/2**s and
     u = c * 2**(e - s), Q = dt*KB/2**e normed to [1/2, 1),
 
         sum_{j<=25} (P + u*Q)**j / j! = sum_i u**i G_{s,i},
@@ -355,13 +286,13 @@ class _SlotPolynomial:
     whose coefficients follow from the term recurrence T_{j,i} = (T_{j-1,i}
     @ P + T_{j-1,i-1} @ Q) / j.  Since ||u*Q||_1 is at most theta_25 plus
     ||P||_1, |u| stays small at every amplitude and u**25 cannot overflow.
-    s is expm's scale, the smallest s >= 0 with ||dt*(LB + c*KB)||_1 <=
+    s is the smallest s >= 0 with ||dt*(LB + c*KB)||_1 <=
     theta_25 * 2**s, read off the amplitude intervals where each s suffices;
     they are computed once, and the coefficients of a scale when an
     amplitude first needs it, with the same bits whichever call needs it
     first.  Every product is stacked per slot, so a slot's block does not
     depend on the other slots of its pulse, and a zero first column (row) of
-    LB and KB leaves an exact unit first column (row), as in expm.
+    LB and KB leaves an exact unit first column (row).
     """
 
     def __init__(self, l0: np.ndarray, k: np.ndarray, dt: float):
@@ -394,7 +325,7 @@ class _SlotPolynomial:
         return coeffs.reshape(_TAYLOR_DEGREE + 1, 64)
 
     def scales(self, amplitudes: np.ndarray) -> np.ndarray:
-        """expm's scale of each amplitude's block: the number of (nested) intervals without it."""
+        """The scale of each amplitude's block: the number of (nested) intervals without it."""
         return np.maximum(
             np.searchsorted(self._hi, amplitudes), np.searchsorted(self._neg_lo, -amplitudes)
         )
@@ -455,23 +386,15 @@ def _scan(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefixes(factors: np.ndarray) -> np.ndarray:
-    """Products of the first j slot factors, j = 0..m: out[0] = I, out[m] = M."""
-    out = np.empty((len(factors) + 1,) + factors.shape[1:])
-    out[1:] = factors
-    return _scan(out)
-
-
 def _slot_scans(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefixes P_0..P_m, derivatives F_1..F_m and suffixes S_1..S_m of a pulse.
 
-    E_k and F_k are the corners of the slot blocks of _slot_blocks, the
-    amplitude polynomial of expm's Taylor approximant.  The suffix S_k =
-    E_{k+1}...E_m is the transpose of a prefix of the reversed, transposed
-    factors, so one scan over the pair (factors, reversed transposed
-    factors), copied straight into its buffer, gives both.
+    E_k and F_k are the corners of the slot blocks of _slot_blocks.  The
+    suffix S_k = E_{k+1}...E_m is the transpose of a prefix of the reversed,
+    transposed factors, so one scan over the pair (factors, reversed
+    transposed factors), copied straight into its buffer, gives both.
     """
     blocks = _slot_blocks(l0, k, dt, amplitudes)
     scans = np.empty((len(blocks) + 1, 2, 4, 4))
@@ -479,18 +402,6 @@ def _slot_scans(
     scans[1:, 1] = blocks[::-1, :4, :4].transpose(0, 2, 1)
     _scan(scans)
     return scans[:, 0], blocks[:, :4, 4:], scans[-2::-1, 1].transpose(0, 2, 1)
-
-
-def _channel(
-    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
-) -> TransferMatrix:
-    """M alone, for callers that need no gradient.
-
-    The factors are the same slot-block corners _slot_scans takes, and a
-    scan over them alone gives bit for bit the prefixes of its stacked scan,
-    so M is the same; only the suffix half of the scan is skipped.
-    """
-    return _prefixes(_slot_blocks(l0, k, dt, amplitudes)[:, :4, :4])[-1]
 
 
 def _propagate_with_vjp(
@@ -522,7 +433,7 @@ def propagate(
     matrix is the last prefix of the slot scan, so it is bit for bit the
     transfer matrix of propagate_with_jacobian.
     """
-    return _channel(g.matrix, control_matrix(h), p.dt, p.amplitudes)
+    return _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)[0][-1]
 
 
 def propagate_schrodinger(

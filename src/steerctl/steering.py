@@ -40,7 +40,6 @@ from .lindblad import (
     DriftGenerator,
     PulseSequence,
     TransferMatrix,
-    _channel,
     _propagate_with_vjp,
     control_matrix,
     pauli_transfer_matrix,
@@ -169,7 +168,7 @@ class ScenarioEvaluator:
 
     def pulse_value(self, dt: float, amplitudes: Sequence[float]) -> float:
         return self.channel_value(
-            _channel(self.drift_generator, self.control_generator, dt, amplitudes)
+            _propagate_with_vjp(self.drift_generator, self.control_generator, dt, amplitudes)[0]
         )
 
     def pulse_value_and_gradient(

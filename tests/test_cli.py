@@ -566,6 +566,24 @@ def test_domain_failures_exit_three(tmp_path):
     assert run_cli("robustness", config, tmp_path / "r") == 3
 
 
+@pytest.mark.parametrize("command", ["robustness", "landscape"])
+def test_huge_amplitude_exits_three(tmp_path, command, capsys):
+    # A pulse amplitude and a landscape axis amplitude of 1e200 overflow the
+    # same slot kernel, so both leave non-finite transported effects.  The
+    # overflow warning comes before the typed error.
+    huge = {"min": 1e200, "max": 1e200, "step": 1.0}
+    zero = {"min": 0.0, "max": 0.0, "step": 1.0}
+    payload = {
+        "scenario": AD_SCENARIO,
+        "pulse": {"dt": 0.1, "amplitudes": [1e200]},
+        "landscape": {"t_drift": 2.6, "T": 2.8, "c1": huge, "c2": zero},
+    }
+    config = write_config(tmp_path, payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(command, config, tmp_path / "r") == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_invalid_effect_in_config_exits_three(tmp_path):
     payload = {
         "scenario": {

@@ -15,6 +15,7 @@ from conftest import (
     complement,
     effects,
     noisy,
+    random_cptp_heisenberg,
     random_effect,
     random_incompatible_pair,
     relative_gradient_error,
@@ -161,6 +162,32 @@ def test_robustness_monotone_under_pre_mixing():
         lam0 = rng.uniform(0.0, 0.4)
         pre = robustness(noisy(x1, lam0, 0.0), noisy(x2, lam0, 0.0))
         assert pre <= base + 1e-9
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    x1=effects,
+    x2=effects,
+    b=st.floats(-0.9, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    env_dim=st.integers(2, 4),
+    w=st.just(1.0) | st.floats(0.0, 1.0),
+)
+def test_no_channel_increases_the_monotone(x1, x2, b, seed, env_dim, w):
+    # A unital channel commutes with the noise map, so a pair that the noise
+    # makes compatible stays compatible after the channel; the root may only
+    # move down, up to the root finder's tolerance.  A random channel alone
+    # leaves few pairs steerable, so it is mixed with the identity at weight
+    # 1 - w, which is again a unital channel.
+    drawn = random_cptp_heisenberg(np.random.default_rng(seed), env_dim)
+    channel = (1.0 - w) * np.eye(4) + w * drawn
+    before = robustness(x1, x2, b)
+    after = robustness(
+        FourVector.from_array(channel @ x1.as_array()),
+        FourVector.from_array(channel @ x2.as_array()),
+        b,
+    )
+    assert after <= before + ROOT_TOL
 
 
 def test_robustness_increases_with_sharpness():

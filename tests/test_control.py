@@ -24,6 +24,7 @@ from steerctl import (
     time_sweep,
 )
 from steerctl import control
+from steerctl.errors import InvalidEffectError
 
 SMALL = OptimizeConfig(T=1.0, m=6, n_starts=4, seed=3, max_iters=60)
 
@@ -246,8 +247,8 @@ def test_landscape_mirror_degeneracy_is_exact():
 
 
 def test_landscape_mirror_asymmetry_stays_at_rounding_level():
-    # The benchmark's 121x121 dephasing grid: 20 cells differ from their
-    # mirror cell, by up to 7.22e-15.
+    # The benchmark's 121x121 dephasing grid: 30 cells differ from their
+    # mirror cell, by up to 7.23e-15.
     s = xz_scenario("dp")
     axis = np.linspace(-15.0, 15.0, 121)
     values = landscape(s, t_drift=2.6, T=2.8, c1_axis=axis, c2_axis=axis).values
@@ -274,10 +275,39 @@ def test_landscape_rejects_a_bad_axis_before_any_exponential(monkeypatch, name, 
     def no_expm(*args, **kwargs):
         raise AssertionError("an exponential was taken")
 
-    monkeypatch.setattr(control, "expm", no_expm)
+    monkeypatch.setattr(control, "_slot_blocks", no_expm)
     axes = {"c1_axis": [0.0], "c2_axis": [0.0], name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         landscape(xz_scenario("ad"), t_drift=2.6, T=2.8, **axes)
+
+
+@pytest.mark.parametrize("kind", ["ad", "dp"])
+def test_landscape_without_drift_is_the_two_slot_pulse_bit_for_bit(kind):
+    # One way to build a channel: every landscape factor is a slot block of
+    # the pulse kernel, so at t_drift = 0 each cell is the robustness of the
+    # two-slot pulse (c1, c2).
+    s = xz_scenario(kind)
+    T = 2.8
+    axis = np.linspace(-15.0, 15.0, 31)
+    grid = landscape(s, t_drift=0.0, T=T, c1_axis=axis, c2_axis=axis)
+    two_slot = [
+        [steering_robustness(s, PulseSequence(T / 2, (c1, c2))) for c2 in axis] for c1 in axis
+    ]
+    assert np.array_equal(grid.values, np.array(two_slot))
+
+
+@pytest.mark.parametrize("where", ["pulse", "c1_axis", "c2_axis"])
+def test_huge_amplitude_is_an_invalid_effect_in_a_pulse_and_a_landscape(where):
+    # The slot exponential at amplitude 1e200 overflows in its squarings, so
+    # the transported effects are not finite.  The overflow warning comes
+    # first; the typed error is what is checked here.
+    s = xz_scenario("ad")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidEffectError):
+        if where == "pulse":
+            steering_robustness(s, PulseSequence(0.1, (1e200,)))
+        else:
+            axes = {"c1_axis": [0.0], "c2_axis": [0.0], where: [1e200]}
+            landscape(s, t_drift=2.6, T=2.8, **axes)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -26,8 +26,6 @@ from steerctl import (
     DriftGenerator,
     PulseSequence,
     control_matrix,
-    expm,
-    expm_frechet,
     pauli_transfer_matrix,
     propagate,
     propagate_schrodinger,
@@ -36,8 +34,8 @@ from steerctl import (
 from steerctl.lindblad import (
     _TAYLOR_DEGREE,
     _THETA,
-    _prefixes,
     _SlotPolynomial,
+    _scan,
     _slot_blocks,
     _slot_polynomial,
     _slot_scans,
@@ -310,36 +308,6 @@ def slot_stack(drift, amplitudes, dt, augmented, h=(0.0, 1.0, 1.0)):
     return augmented_slots(gens, dt, k) if augmented else gens
 
 
-@pytest.mark.parametrize("augmented", [False, True], ids=["4x4", "8x8"])
-@pytest.mark.parametrize("m", [1, 20])
-@pytest.mark.parametrize("drift", sorted(DRIFTS))
-def test_expm_matches_scipy_on_slot_stacks(drift, m, augmented):
-    rng = np.random.default_rng(40 + m)
-    # both box edges, then uniform draws inside the box
-    amplitudes = np.concatenate([[15.0, -15.0], rng.uniform(-15.0, 15.0, 40)])
-    for start in range(0, amplitudes.size, m):
-        stack = slot_stack(DRIFTS[drift], amplitudes[start:start + m], SLOT_DT, augmented)
-        got = expm(stack)
-        assert got.shape == stack.shape
-        assert np.max(np.abs(got - scipy.linalg.expm(stack))) < SLOT_ATOL
-
-
-@pytest.mark.parametrize("drift", sorted(DRIFTS))
-def test_expm_squaring_matches_the_slot_product(drift):
-    # One slot spanning the whole horizon at the box edge has 1-norm ~170, so
-    # the kernel squares five times.  The product of twenty slot-length
-    # exponentials is the same matrix, but a float reference for it rounds
-    # at SLOT_ATOL's scale and differently on each BLAS kernel; a 40-digit
-    # exponential of the very matrix the kernel gets is exact at that scale.
-    with mpmath.workdps(40):
-        for amplitude in (15.0, -15.0):
-            for augmented in (False, True):
-                stack = slot_stack(DRIFTS[drift], [amplitude], 20 * SLOT_DT, augmented)
-                exact = mpmath.expm(mpmath.matrix(stack[0].tolist()))
-                reference = np.array(exact.tolist(), dtype=float)
-                assert np.max(np.abs(expm(stack)[0] - reference)) < SLOT_ATOL
-
-
 def test_expm_at_the_defective_critical_amplitude():
     # Amplitude damping rotated about sigma_x: the y-z block of L0 + c*K has
     # eigenvalues -3g/2 +- sqrt(g^2/4 - 4c^2), which coalesce into a
@@ -361,9 +329,23 @@ def test_expm_at_the_defective_critical_amplitude():
     _, vectors = np.linalg.eig(l0 + critical * k)
     assert np.linalg.cond(vectors) > 1e6  # the eigenvectors nearly coincide
     for dt in (SLOT_DT, 20 * SLOT_DT):
-        stack = slot_stack(drift, [critical, -critical], dt, False, h=(1.0, 0.0, 0.0))
-        for a in (stack, augmented_slots(stack, dt, k)):
-            assert np.max(np.abs(expm(a) - scipy.linalg.expm(a))) < SLOT_ATOL
+        amplitudes = [critical, -critical]
+        for c, block in zip(amplitudes, _slot_blocks(l0, k, dt, amplitudes)):
+            value, deriv = scipy.linalg.expm_frechet(dt * (l0 + c * k), dt * k)
+            assert np.max(np.abs(block[:4, :4] - value)) < SLOT_ATOL
+            assert np.max(np.abs(block[:4, 4:] - deriv)) < SLOT_ATOL
+
+
+@pytest.mark.parametrize("t", [0.5, 2.6, 10.0])
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+def test_drift_window_matches_a_40_digit_exponential(drift, t):
+    # The landscape's drift window is the zero-amplitude slot of length t.
+    l0 = DRIFTS[drift].matrix
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    window = _slot_blocks(l0, k, t, [0.0])[0, :4, :4]
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix((t * l0).tolist()))
+        assert np.max(np.abs(window - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
 
 
 def test_taylor_degree_meets_double_precision_backward_error_at_theta():
@@ -389,79 +371,6 @@ def test_taylor_degree_meets_double_precision_backward_error_at_theta():
         assert bound(theta) <= 2.0**-53
         # theta is the largest such norm to nine digits, so no squaring is wasted.
         assert bound(theta * (1 + 1e-9)) > 2.0**-53
-
-
-#: Stacks of three 4x4 matrices with entries up to 8: 1-norms up to 32, so
-#: the kernel squares up to four times.
-small_stacks = arrays(float, (3, 4, 4), elements=st.floats(-8.0, 8.0))
-
-
-@settings(**PROPERTY_SETTINGS)
-@given(a=small_stacks, e=arrays(float, (4, 4), elements=st.floats(-8.0, 8.0)), row=st.booleans())
-def test_zero_first_column_or_row_gives_an_exact_unit_one(a, e, row):
-    # A zero first column (row) of A and E stays zero in every power of A
-    # and of the Frechet block, so exp(A) has exactly the identity's first
-    # column (row) and the derivative along E a zero one, on any BLAS
-    # kernel.  Unital drifts have a zero first column, dephasing also a
-    # zero first row.
-    first = (lambda mat: mat[..., 0, :]) if row else (lambda mat: mat[..., :, 0])
-    first(a)[...] = 0.0
-    first(e)[...] = 0.0
-    unit = np.eye(4)[0]
-    assert (first(expm(a)) == unit).all()
-    value, deriv = expm_frechet(a, e)
-    assert (first(value) == unit).all()
-    assert (first(deriv) == 0.0).all()
-
-
-def test_expm_frechet_against_scipy():
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        e = rng.normal(size=(4, 4))
-        val, deriv = expm_frechet(a, e)
-        ref_val, ref_deriv = scipy.linalg.expm_frechet(a, e)
-        assert np.allclose(val, ref_val, atol=1e-12)
-        assert np.allclose(deriv, ref_deriv, atol=1e-11)
-    # real slot generators at the box edge, differentiated along dt*K
-    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
-    for drift in DRIFTS.values():
-        for a in slot_stack(drift, [15.0, -15.0, 0.0, 7.3], SLOT_DT, False):
-            val, deriv = expm_frechet(a, SLOT_DT * k)
-            ref_val, ref_deriv = scipy.linalg.expm_frechet(a, SLOT_DT * k)
-            assert np.max(np.abs(val - ref_val)) < SLOT_ATOL
-            assert np.max(np.abs(deriv - ref_deriv)) < SLOT_ATOL
-
-
-@pytest.mark.parametrize("drift", sorted(DRIFTS))
-def test_stacked_expm_frechet_is_per_matrix_bit_for_bit(drift):
-    rng = np.random.default_rng(38)
-    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
-    amplitudes = np.concatenate([[15.0, -15.0], rng.uniform(-15.0, 15.0, 18)])
-    gens = slot_stack(DRIFTS[drift], amplitudes, SLOT_DT, False)
-    # one direction broadcast over the stack: the slot Frechet derivatives,
-    # equal to the blocks of the augmented stack built by hand
-    values, derivs = expm_frechet(gens, SLOT_DT * k)
-    aug = expm(augmented_slots(gens, SLOT_DT, k))
-    assert values.tobytes() == aug[:, :4, :4].tobytes()
-    assert derivs.tobytes() == aug[:, :4, 4:].tobytes()
-    # and a direction per matrix
-    dirs = rng.normal(size=gens.shape)
-    values, derivs = expm_frechet(gens, dirs)
-    for a, e, val, deriv in zip(gens, dirs, values, derivs):
-        ref_val, ref_deriv = expm_frechet(a, e)
-        assert val.tobytes() == ref_val.tobytes()
-        assert deriv.tobytes() == ref_deriv.tobytes()
-
-
-def test_expm_frechet_against_finite_differences():
-    rng = np.random.default_rng(35)
-    a = rng.normal(size=(4, 4))
-    e = rng.normal(size=(4, 4))
-    _, deriv = expm_frechet(a, e)
-    step = 1e-6
-    numeric = (scipy.linalg.expm(a + step * e) - scipy.linalg.expm(a - step * e)) / (2 * step)
-    assert np.allclose(deriv, numeric, atol=1e-6)
 
 
 def test_propagator_jacobian_matches_finite_differences():
@@ -502,8 +411,14 @@ def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
     prefixes, frechet, suffixes = _slot_scans(l0, k, dt, amps)
     blocks = _slot_blocks(l0, k, dt, amps)
     factors, ref_frechet = blocks[:, :4, :4], blocks[:, :4, 4:]
-    forward = _prefixes(factors)
-    backward = _prefixes(factors[::-1].transpose(0, 2, 1))
+
+    def prefixes_of(seq):
+        out = np.empty((m + 1, 4, 4))
+        out[1:] = seq
+        return _scan(out)
+
+    forward = prefixes_of(factors)
+    backward = prefixes_of(factors[::-1].transpose(0, 2, 1))
     assert frechet.tobytes() == ref_frechet.tobytes()
     assert prefixes.tobytes() == forward.tobytes()
     # S_k = E_{k+1}...E_m is the transpose of the product of the last m - k

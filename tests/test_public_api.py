@@ -29,8 +29,6 @@ PUBLIC_NAMES = [
     "bob_marginal",
     "c_functional",
     "control_matrix",
-    "expm",
-    "expm_frechet",
     "is_jointly_measurable",
     "landscape",
     "naive_optimize",
