@@ -40,13 +40,6 @@ _FTOL = 1e-12
 #: boundary points with an outward-pointing gradient terminate correctly.
 _GTOL = 1e-6
 
-#: Landscape axis slots per _slot_blocks call.  A call gathers an (n, 26, 64)
-#: coefficient stack, so a whole 61-slot axis would peak at about 0.9 MB.  A
-#: slot's block does not depend on the rest of its call, so chunks keep the
-#: whole axis's bits.
-_AXIS_CHUNK = 8
-
-
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Multi-start settings; T is the total evolution time m * dt."""
@@ -367,14 +360,10 @@ def landscape(
     k = evaluator.control_generator
     dt = 0.5 * (T - t_drift)
 
-    def factors(axis: np.ndarray) -> np.ndarray:
-        chunks = [axis[i : i + _AXIS_CHUNK] for i in range(0, axis.size, _AXIS_CHUNK)]
-        return np.concatenate([_slot_blocks(l0, k, dt, c)[:, :4, :4] for c in chunks])
-
     # The drift window is a zero-amplitude slot of length t_drift.
-    drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :4, :4]
-    slot1 = factors(c1s)
-    slot2 = factors(c2s)
+    drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :, :4]
+    slot1 = _slot_blocks(l0, k, dt, c1s)[..., :4]
+    slot2 = _slot_blocks(l0, k, dt, c2s)[..., :4]
     values = np.empty((c1s.size, c2s.size))
     for i in range(c1s.size):
         head = drift_part @ slot1[i]

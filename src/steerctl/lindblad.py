@@ -10,20 +10,24 @@ here reverses that order, so
 with L_c = L_0 + c * K acting on effect 4-vectors: L_0 is the drift
 generator's matrix and K = control_matrix(h).
 
-Every exponential is one kernel: scaling and squaring with the degree-25
-Taylor polynomial (Al-Mohy and Higham 2011) of a slot's 8x8 block
-[[dt*L_c, dt*K], [0, dt*L_c]], each block scaled by its own power of two.
-The blocks of one (drift, control, dt) differ only in the amplitude c, so
-the approximant is evaluated as a polynomial in c: its coefficients are
-built once and cached, and a slot costs one 26-term product and its
-squarings.  A drift window of length t is the zero-amplitude slot of length
-t.  No eigendecomposition is used: L_0 + c*K is defective at the amplitude
-where damped rotation is critically damped.  No linear solve is used
-either, so the unit first column of every slot exponential of a unital
-drift (and the unit first row under dephasing) is exact.
+Every exponential is one kernel.  E(c) = exp(dt*L_c) of one (drift,
+control, dt) is entire in the amplitude c, so it is held as local Taylor
+tables in c: around each center c_j on a power-of-two grid, a table of 13
+matrix coefficients gives E and its derivative dE/dc.  A slot costs one
+13-term product with the powers of its offset from the nearest center, and
+no squaring.  A center's table is built once, when an amplitude first
+needs it, from the exponential of a block bidiagonal matrix (Najfeld and
+Havel 1995), itself the degree-25 Taylor polynomial (Al-Mohy and Higham
+2011) scaled and squared.  A drift window of length t is the
+zero-amplitude slot of length t.  No eigendecomposition is used: L_0 + c*K
+is defective at the amplitude where damped rotation is critically damped.
+No linear solve is used either, so the unit first column of every slot
+exponential of a unital drift (and the unit first row under dephasing) is
+exact.
 
-The top-right block F_k of a slot's exponential is the derivative of E_k
-(Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009) 1639), so
+The derivative F_k = dE_k/dc_k, the top-right block of
+exp([[dt*L_c, dt*K], [0, dt*L_c]]) (Al-Mohy and Higham, SIAM J. Matrix
+Anal. Appl. 30 (2009) 1639), comes from the same tables, and
 dM/dc_k = P_{k-1} @ F_k @ S_k with prefix P_{k-1} = E_1...E_{k-1} and
 suffix S_k = E_{k+1}...E_m.  A cost gradient only needs
 tr(rows @ dM/dc_k @ cols) for every k, an adjoint (vector-Jacobian)
@@ -221,6 +225,20 @@ def control_matrix(h: ControlHamiltonian) -> TransferMatrix:
 _TAYLOR_DEGREE = 25
 _THETA = 2.4285825244
 
+#: Terms D of a center's table and the largest |c - c_j| * ||dt*K||_1 they
+#: serve: under a contractive drift the truncated tail of E, and of F in
+#: units of ||dt*K||_1, is at most sum_{i>=D} rho**i / i! < 2**-53 (tested).
+_TABLE_TERMS = 13
+_RHO = 0.25
+
+#: Squarings after which no bit of an exponential is left: each one can
+#: double the rounding error of the last.
+_MAX_SQUARINGS = 52
+
+#: Centers kept per (drift, control, dt); a call that would exceed it starts
+#: the cache afresh.
+_MAX_CENTERS = 1024
+
 
 def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Square matrix i of the (n, k, k) stack r s_i times, each on its own."""
@@ -229,143 +247,116 @@ def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sublevel_intervals(
-    a: np.ndarray, b: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo, hi of the amplitudes c with ||a + c*b||_1 <= t, one pair per threshold.
+class _SlotTables:
+    """The slot block [E | F] of one (drift, control, dt) at every amplitude c.
 
-    Column j's absolute sum g_j(c) = sum_i |a_ij + c*b_ij| is convex and
-    linear between its breakpoints -a_ij/b_ij, and grows by sum_i |b_ij| per
-    unit amplitude beyond them, so each side of its minimum inverts by
-    interpolation.  The 1-norm is the largest column sum, so its sublevel
-    set is the intersection of theirs.  An empty set reads (inf, -inf), so
-    lo falls and hi rises with t.  A bound beyond the float range is
-    infinite.
-    """
-    lo = np.full(t.shape, -np.inf)
-    hi = np.full(t.shape, np.inf)
-    with np.errstate(over="ignore"):
-        for aj, bj in zip(a.T, b.T):
-            moves = bj != 0.0
-            if not moves.any():
-                inside = np.abs(aj).sum() <= t
-                lo = np.maximum(lo, np.where(inside, -np.inf, np.inf))
-                hi = np.minimum(hi, np.where(inside, np.inf, -np.inf))
-                continue
-            x = np.unique(-aj[moves] / bj[moves])
-            g = np.abs(aj + x[:, None] * bj).sum(axis=1)
-            slope = np.abs(bj).sum()
-            i = int(np.argmin(g))
-            # np.interp needs rising values; rounding at close breakpoints
-            # could make them dip.
-            up = np.maximum.accumulate(g[i:])
-            down = np.maximum.accumulate(g[i::-1])
-            right = np.where(t > up[-1], x[-1] + (t - up[-1]) / slope, np.interp(t, up, x[i:]))
-            left = np.where(
-                t > down[-1], x[0] - (t - down[-1]) / slope, np.interp(t, down, x[i::-1])
-            )
-            inside = t >= g[i]
-            lo = np.maximum(lo, np.where(inside, left, np.inf))
-            hi = np.minimum(hi, np.where(inside, right, -np.inf))
-    empty = lo > hi
-    lo[empty], hi[empty] = np.inf, -np.inf
-    return lo, hi
+    E(c) = exp(dt*(L0 + c*K)) is entire in c.  Around the center c_j = j*h,
+    with the offset u = (c - c_j)/h,
 
+        E = sum_{i<D} u**i C_i,    F = dE/dc = sum_{i<D} (i+1) u**i C_{i+1} / h,
 
-class _SlotPolynomial:
-    """The slot exponential exp(dt*(LB + c*KB)) of one (drift, control, dt), per amplitude c.
+    where C_i is h**i/i! times the i-th derivative of E at c_j: block i of
+    the top block row of the exponential of the (D+1)-block bidiagonal
+    matrix with dt*L_{c_j} on its diagonal and h*dt*K above it (Najfeld and
+    Havel, Adv. Appl. Math. 16 (1995) 321).  The spacing h = 2**-shift is
+    the largest power of two with (h/2)*||dt*K||_1 <= rho, so c_j and u are
+    exact (unless u is below the float range, where no term can see it) and
+    |u| <= 1/2; a zero control takes every amplitude to the one center 0.
+    That exponential is the degree-25 Taylor polynomial of the matrix scaled
+    to 1-norm theta_25, squared back, in products only, so a zero first
+    column (row) of L0 and K leaves an exact unit first column (row).
 
-    LB = [[L0, K], [0, L0]] and KB = [[K, 0], [0, K]], so the top-left 4x4
-    corner of the exponential is E = exp(dt*L_c) and the top-right one its
-    derivative F = dE/dc.  At scale s the degree-25 Taylor polynomial of
-    the scaled block is a polynomial in c: with P = dt*LB/2**s and
-    u = c * 2**(e - s), Q = dt*KB/2**e normed to [1/2, 1),
-
-        sum_{j<=25} (P + u*Q)**j / j! = sum_i u**i G_{s,i},
-
-    whose coefficients follow from the term recurrence T_{j,i} = (T_{j-1,i}
-    @ P + T_{j-1,i-1} @ Q) / j.  Since ||u*Q||_1 is at most theta_25 plus
-    ||P||_1, |u| stays small at every amplitude and u**25 cannot overflow.
-    s is the smallest s >= 0 with ||dt*(LB + c*KB)||_1 <=
-    theta_25 * 2**s, read off the amplitude intervals where each s suffices;
-    they are computed once, and the coefficients of a scale when an
-    amplitude first needs it, with the same bits whichever call needs it
-    first.  Every product is stacked per slot, so a slot's block does not
-    depend on the other slots of its pulse, and a zero first column (row) of
-    LB and KB leaves an exact unit first column (row).
+    Row i of a center's (D, 4, 8) table is [C_i | (i+1) C_{i+1} / h].  The
+    tables are built when an amplitude first needs them, with the same bits
+    whichever call builds them, and a slot costs one D-term product with
+    the powers of its u, so it does not depend on the other slots of its
+    pulse.  A center whose exponential is not finite, or would need more
+    than _MAX_SQUARINGS squarings, has a NaN table: its slots carry NaN,
+    which no later product turns into a floating-point warning.
     """
 
     def __init__(self, l0: np.ndarray, k: np.ndarray, dt: float):
-        zero = np.zeros((4, 4))
-        self._drift = dt * np.block([[l0, k], [zero, l0]])
-        control = dt * np.block([[k, zero], [zero, k]])
-        norm = np.abs(control).sum(axis=0).max()
-        # A zero control leaves no amplitude dependence; its u is 0 at every c.
-        self._e = math.frexp(norm)[1] if norm else -2100
-        self._control = np.ldexp(control, -self._e)
-        # theta * 2**1023 overflows, so the last scale takes every amplitude.
-        with np.errstate(over="ignore"):
-            thresholds = np.ldexp(_THETA, np.arange(1024))
-        lo, hi = _sublevel_intervals(self._drift, control, thresholds)
-        self._neg_lo, self._hi = -lo, hi
-        # Coefficients of the scales built so far, and each scale's row.
-        self._built = (np.empty((0, _TAYLOR_DEGREE + 1, 64)), np.full(thresholds.size, -1))
-
-    def _coefficients(self, s: int) -> np.ndarray:
-        p = np.ldexp(self._drift, -s)
-        coeffs = np.zeros((_TAYLOR_DEGREE + 1, 8, 8))
-        terms = np.eye(8)[None]
-        coeffs[0] = terms[0]
-        for j in range(1, _TAYLOR_DEGREE + 1):
-            nxt = np.zeros((j + 1, 8, 8))
-            nxt[:j] = terms @ p
-            nxt[1:] += terms @ self._control
-            terms = nxt / j
-            coeffs[: j + 1] += terms
-        return coeffs.reshape(_TAYLOR_DEGREE + 1, 64)
-
-    def scales(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The scale of each amplitude's block: the number of (nested) intervals without it."""
-        return np.maximum(
-            np.searchsorted(self._hi, amplitudes), np.searchsorted(self._neg_lo, -amplitudes)
+        self._l0, self._k, self._dt = l0, k, dt
+        f, e = math.frexp(np.abs(dt * k).sum(axis=0).max())
+        # ||dt*K||_1 = f * 2**e with f in [1/2, 1) and rho a power of two, so
+        # the largest h is exact.  A zero control's u is 0 at every amplitude.
+        self._shift = e - math.frexp(_RHO)[1] - (f == 0.5) if f else -2100
+        # Beyond this amplitude u would overflow; its center is NaN anyway.
+        self._bound = math.ldexp(1.0, 1023 - self._shift) if self._shift > 0 else math.inf
+        self._built: tuple[dict[float, int], np.ndarray] = (
+            {},
+            np.empty((0, _TABLE_TERMS, 32)),
         )
 
+    def _tables(self, centers: np.ndarray) -> np.ndarray:
+        """The (n, D, 32) tables of the centers j*h for the indices j in centers."""
+        d = _TABLE_TERMS
+        with np.errstate(over="ignore", invalid="ignore"):
+            # + 0.0: the center -0 is built as 0, whichever sign first asks for it.
+            c = np.ldexp(centers, -self._shift) + 0.0
+            gens = self._dt * (self._l0 + c[:, None, None] * self._k)
+            step = np.ldexp(self._dt * self._k, -self._shift)
+            big = np.kron(np.eye(d + 1), gens) + np.kron(np.eye(d + 1, k=1), step)
+            norms = np.abs(big).sum(axis=1).max(axis=1)
+            s = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0)))
+            ok = s <= _MAX_SQUARINGS
+            s = np.where(ok, s, 0).astype(int)
+            x = np.ldexp(big, -s[:, None, None])
+            eye = np.eye(4 * d + 4)
+            r = eye
+            for j in range(_TAYLOR_DEGREE, 0, -1):
+                r = eye + (x @ r) / j
+            blocks = _square(r, s)[:, :4].reshape(-1, 4, d + 1, 4).transpose(0, 2, 1, 3)
+            derivs = np.ldexp(np.arange(1.0, d + 1)[:, None, None] * blocks[:, 1:], self._shift)
+            table = np.concatenate([blocks[:, :d], derivs], axis=3)
+            table[~(ok & np.isfinite(table).all(axis=(1, 2, 3)))] = np.nan
+        return table.reshape(-1, d, 32)
+
+    def locate(self, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The center index j and the offset u = (c - j*h)/h of each amplitude c."""
+        scaled = np.ldexp(np.minimum(np.maximum(amplitudes, -self._bound), self._bound), self._shift)
+        centers = np.rint(scaled)
+        return centers, scaled - centers
+
     def blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The (m, 8, 8) slot exponentials of the amplitudes."""
-        s = self.scales(amplitudes)
-        table, rows = self._built
-        missing = rows[s] < 0
-        if missing.any():
+        """The (m, 4, 8) slot blocks [E | F] of the amplitudes."""
+        centers, u = self.locate(amplitudes)
+        keys = centers.tolist()
+        index, table = self._built
+        missing = set(keys).difference(index)
+        if missing:
             # A fresh pair, swapped in whole, so concurrent callers stay consistent.
-            new = np.unique(s[missing])
-            rows = rows.copy()
-            rows[new] = len(table) + np.arange(new.size)
-            table = np.concatenate([table, [self._coefficients(int(v)) for v in new]])
-            self._built = (table, rows)
-        u = np.ldexp(amplitudes, self._e - s)
-        powers = np.vander(u, _TAYLOR_DEGREE + 1, increasing=True)
-        r = (powers[:, None, :] @ table[rows[s]]).reshape(-1, 8, 8)
-        return _square(r, s)
+            new = sorted(missing)
+            if len(index) + len(new) > _MAX_CENTERS:
+                index, table = {}, table[:0]
+            index = {**index, **{j: len(index) + i for i, j in enumerate(new)}}
+            table = np.concatenate([table, self._tables(np.array(new))])
+            self._built = (index, table)
+        powers = np.empty((_TABLE_TERMS, len(keys)))
+        powers[0] = 1.0
+        powers[1:] = u
+        # Each slot's powers u**i as one contiguous row, for its own product.
+        powers = np.ascontiguousarray(np.multiply.accumulate(powers, out=powers).T)
+        rows = table.take([index[j] for j in keys], axis=0)
+        return (powers[:, None, :] @ rows).reshape(-1, 4, 8)
 
 
 @functools.lru_cache(maxsize=8)
-def _slot_polynomial(l0: bytes, k: bytes, dt: float) -> _SlotPolynomial:
-    """The shared _SlotPolynomial of a (drift, control, dt), keyed by the matrices' bytes."""
-    return _SlotPolynomial(
-        np.frombuffer(l0).reshape(4, 4), np.frombuffer(k).reshape(4, 4), dt
-    )
+def _slot_tables(l0: bytes, k: bytes, dt: float) -> _SlotTables:
+    """The shared _SlotTables of a (drift, control, dt), keyed by the matrices' bytes."""
+    return _SlotTables(np.frombuffer(l0).reshape(4, 4), np.frombuffer(k).reshape(4, 4), dt)
 
 
 def _slot_blocks(
     l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
 ) -> np.ndarray:
-    """exp([[dt*L_c, dt*K], [0, dt*L_c]]) for every slot amplitude c, an (m, 8, 8) stack.
+    """[E_k | F_k] for every slot amplitude c_k, an (m, 4, 8) stack.
 
-    The top-left corners are the slot factors E_k, the top-right ones their
-    derivatives F_k.
+    E_k = exp(dt*L_{c_k}) is the slot factor and F_k = dE_k/dc_k its
+    derivative, the top row of blocks of exp([[dt*L_c, dt*K], [0, dt*L_c]]).
     """
-    poly = _slot_polynomial(l0.tobytes(), k.tobytes(), float(dt))
-    return poly.blocks(np.asarray(amplitudes, dtype=float))
+    tables = _slot_tables(l0.tobytes(), k.tobytes(), float(dt))
+    return tables.blocks(np.asarray(amplitudes, dtype=float))
 
 
 def _scan(out: np.ndarray) -> np.ndarray:
@@ -391,17 +382,17 @@ def _slot_scans(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefixes P_0..P_m, derivatives F_1..F_m and suffixes S_1..S_m of a pulse.
 
-    E_k and F_k are the corners of the slot blocks of _slot_blocks.  The
+    E_k and F_k are the halves of the slot blocks of _slot_blocks.  The
     suffix S_k = E_{k+1}...E_m is the transpose of a prefix of the reversed,
     transposed factors, so one scan over the pair (factors, reversed
     transposed factors), copied straight into its buffer, gives both.
     """
     blocks = _slot_blocks(l0, k, dt, amplitudes)
     scans = np.empty((len(blocks) + 1, 2, 4, 4))
-    scans[1:, 0] = blocks[:, :4, :4]
-    scans[1:, 1] = blocks[::-1, :4, :4].transpose(0, 2, 1)
+    scans[1:, 0] = blocks[..., :4]
+    scans[1:, 1] = blocks[::-1, :, :4].transpose(0, 2, 1)
     _scan(scans)
-    return scans[:, 0], blocks[:, :4, 4:], scans[-2::-1, 1].transpose(0, 2, 1)
+    return scans[:, 0], blocks[..., 4:], scans[-2::-1, 1].transpose(0, 2, 1)
 
 
 def _propagate_with_vjp(

@@ -149,8 +149,16 @@ class ScenarioEvaluator:
             InvalidEffectError: if a component is not finite.
             InternalConsistencyError: if an effect is outside the cone.
         """
-        y1 = tuple((self.resource @ (channel @ self._x1)).tolist())
-        y2 = tuple((self.resource @ (channel @ self._x2)).tolist())
+        try:
+            y1 = tuple((self.resource @ (channel @ self._x1)).tolist())
+            y2 = tuple((self.resource @ (channel @ self._x2)).tolist())
+        except (RuntimeWarning, FloatingPointError) as exc:
+            # numpy's report of a NaN or an overflow in the products (an
+            # infinite channel entry times a zero), raised as an exception
+            # where floating-point warnings are errors.
+            raise InvalidEffectError(
+                f"transported effects of channel {channel.tolist()} are non-finite ({exc})"
+            ) from None
         if not all(map(math.isfinite, y1 + y2)):
             raise InvalidEffectError(f"transported effects {y1}, {y2} have a non-finite component")
         for y in (y1, y2):

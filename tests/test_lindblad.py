@@ -3,6 +3,7 @@
 import pickle
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -31,14 +32,18 @@ from steerctl import (
     propagate_schrodinger,
     propagate_with_jacobian,
 )
+from steerctl import lindblad
 from steerctl.lindblad import (
+    _MAX_SQUARINGS,
+    _RHO,
+    _TABLE_TERMS,
     _TAYLOR_DEGREE,
     _THETA,
-    _SlotPolynomial,
     _scan,
     _slot_blocks,
-    _slot_polynomial,
     _slot_scans,
+    _slot_tables,
+    _SlotTables,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -332,8 +337,8 @@ def test_expm_at_the_defective_critical_amplitude():
         amplitudes = [critical, -critical]
         for c, block in zip(amplitudes, _slot_blocks(l0, k, dt, amplitudes)):
             value, deriv = scipy.linalg.expm_frechet(dt * (l0 + c * k), dt * k)
-            assert np.max(np.abs(block[:4, :4] - value)) < SLOT_ATOL
-            assert np.max(np.abs(block[:4, 4:] - deriv)) < SLOT_ATOL
+            assert np.max(np.abs(block[:, :4] - value)) < SLOT_ATOL
+            assert np.max(np.abs(block[:, 4:] - deriv)) < SLOT_ATOL
 
 
 @pytest.mark.parametrize("t", [0.5, 2.6, 10.0])
@@ -342,7 +347,7 @@ def test_drift_window_matches_a_40_digit_exponential(drift, t):
     # The landscape's drift window is the zero-amplitude slot of length t.
     l0 = DRIFTS[drift].matrix
     k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
-    window = _slot_blocks(l0, k, t, [0.0])[0, :4, :4]
+    window = _slot_blocks(l0, k, t, [0.0])[0, :, :4]
     with mpmath.workdps(40):
         exact = mpmath.expm(mpmath.matrix((t * l0).tolist()))
         assert np.max(np.abs(window - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
@@ -371,6 +376,30 @@ def test_taylor_degree_meets_double_precision_backward_error_at_theta():
         assert bound(theta) <= 2.0**-53
         # theta is the largest such norm to nine digits, so no squaring is wasted.
         assert bound(theta * (1 + 1e-9)) > 2.0**-53
+
+
+def test_table_terms_truncate_below_double_precision_at_rho():
+    # A unital positive map contracts the norm |a0| + |a| of effects, so
+    # for a CPTP drift ||exp(t*A)|| <= 1 and the Dyson series bounds the
+    # table blocks by ||C_i|| <= ||h*dt*K||**i / i!, with ||h*dt*K|| <= 2 rho
+    # (the 1-norm bounds that norm of a rotation generator) and |u| <= 1/2.
+    # The terms dropped from E, and from F in units of ||dt*K||_1, then sum
+    # to at most sum_{i>=D} rho**i / i!.
+    d = _TABLE_TERMS
+    with mpmath.workdps(40):
+        rho, u, step = mpmath.mpf(_RHO), mpmath.mpf(0.5), 2 * mpmath.mpf(_RHO)
+
+        def tail_e(terms):
+            return mpmath.nsum(lambda i: u**i * step**i / mpmath.factorial(i), [terms, mpmath.inf])
+
+        tail_f = mpmath.nsum(
+            lambda i: (i + 1) * u**i * step ** (i + 1) / mpmath.factorial(i + 1) / step,
+            [d, mpmath.inf],
+        )
+        assert tail_e(d) == mpmath.nsum(lambda i: rho**i / mpmath.factorial(i), [d, mpmath.inf])
+        assert tail_e(d) <= 2.0**-53 and tail_f <= 2.0**-53
+        # one term fewer would not do, so no term is wasted
+        assert tail_e(d - 1) > 2.0**-53
 
 
 def test_propagator_jacobian_matches_finite_differences():
@@ -410,7 +439,7 @@ def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
     amps = tuple(rng.uniform(-15.0, 15.0, size=m))
     prefixes, frechet, suffixes = _slot_scans(l0, k, dt, amps)
     blocks = _slot_blocks(l0, k, dt, amps)
-    factors, ref_frechet = blocks[:, :4, :4], blocks[:, :4, 4:]
+    factors, ref_frechet = blocks[..., :4], blocks[..., 4:]
 
     def prefixes_of(seq):
         out = np.empty((m + 1, 4, 4))
@@ -455,7 +484,7 @@ def test_slot_block_does_not_depend_on_its_pulse(drift, h, dt, amplitudes, data)
     blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
     j = data.draw(st.integers(0, len(amplitudes) - 1))
     alone = _slot_blocks(drift.matrix, k, dt, [amplitudes[j]])
-    assert alone.shape == (1, 8, 8)
+    assert alone.shape == (1, 4, 8)
     assert alone[0].tobytes() == blocks[j].tobytes()
     # and inside another pulse, at another position
     other = data.draw(st.lists(box_amplitudes, min_size=1, max_size=20))
@@ -475,7 +504,7 @@ def test_slot_factors_keep_an_exact_unit_first_column(drift, h, dt, amplitudes):
     # Both built-in drifts are unital (zero first column); dephasing also
     # has a zero first row.  The control generator has both.
     blocks = _slot_blocks(drift.matrix, control_matrix(h), dt, amplitudes)
-    factors, frechet = blocks[:, :4, :4], blocks[:, :4, 4:]
+    factors, frechet = blocks[..., :4], blocks[..., 4:]
     unit = np.eye(4)[0]
     assert (factors[:, :, 0] == unit).all()
     assert (frechet[:, :, 0] == 0.0).all()
@@ -494,89 +523,153 @@ def test_slot_blocks_match_scipy(drift, m):
     for start in range(0, amplitudes.size, m):
         amps = amplitudes[start:start + m]
         blocks = _slot_blocks(l0, k, SLOT_DT, amps)
-        assert blocks.shape == (len(amps), 8, 8)
+        assert blocks.shape == (len(amps), 4, 8)
         for c, block in zip(amps, blocks):
             value, deriv = scipy.linalg.expm_frechet(SLOT_DT * (l0 + c * k), SLOT_DT * k)
-            assert np.max(np.abs(block[:4, :4] - value)) < SLOT_ATOL
-            assert np.max(np.abs(block[:4, 4:] - deriv)) < SLOT_ATOL
+            assert np.max(np.abs(block[:, :4] - value)) < SLOT_ATOL
+            assert np.max(np.abs(block[:, 4:] - deriv)) < SLOT_ATOL
+
+
+def exact_slot_blocks(drift, amplitudes, dt, h=(0.0, 1.0, 1.0)):
+    """[E | F] of each amplitude from a 40-digit exponential of its 8x8 block."""
+    with mpmath.workdps(40):
+        return [
+            np.array(mpmath.expm(mpmath.matrix(gen.tolist())).tolist(), dtype=float)[:4]
+            for gen in slot_stack(drift, amplitudes, dt, True, h)
+        ]
 
 
 @pytest.mark.parametrize("dt", [SLOT_DT, 1.0, 20 * SLOT_DT])
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
 def test_slot_blocks_match_a_40_digit_exponential(drift, dt):
-    # At dt = 20 * SLOT_DT the box edge's Frechet block squares seven times.
+    # At dt = 20 * SLOT_DT the box edge's center table comes from an
+    # exponential squared seven times.
     k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
     amplitudes = [15.0, -15.0, 0.0, 7.3]
     blocks = _slot_blocks(DRIFTS[drift].matrix, k, dt, amplitudes)
-    with mpmath.workdps(40):
-        for gen, block in zip(slot_stack(DRIFTS[drift], amplitudes, dt, True), blocks):
-            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
-            assert np.max(np.abs(block - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
-
-
-def norm_rule_scales(drift, h, dt, amplitudes):
-    """expm's scale of each slot's generator block, from its 1-norm."""
-    norms = np.abs(slot_stack(drift, amplitudes, dt, True, h.h)).sum(axis=1).max(axis=1)
-    return np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(int)
+    for exact, block in zip(exact_slot_blocks(DRIFTS[drift], amplitudes, dt), blocks):
+        assert np.max(np.abs(block - exact)) < SLOT_ATOL
 
 
 @settings(**PROPERTY_SETTINGS)
 @given(
-    drift=drifts | st.builds(DriftGenerator.dephasing, st.floats(0.0, 50.0)),
-    h=controls,
+    drift=drifts,
+    h=extreme_controls,
     dt=slot_lengths,
     amplitudes=st.lists(box_amplitudes | st.floats(-1e6, 1e6), min_size=1, max_size=20),
 )
-def test_slot_scales_follow_the_norm_rule(drift, h, dt, amplitudes):
-    poly = _slot_polynomial(drift.matrix.tobytes(), control_matrix(h).tobytes(), dt)
-    got = poly.scales(np.array(amplitudes))
-    assert got.tolist() == norm_rule_scales(drift, h, dt, amplitudes).tolist()
+def test_slot_centers_follow_the_spacing_rule(drift, h, dt, amplitudes):
+    k = control_matrix(h)
+    tables = _slot_tables(drift.matrix.tobytes(), k.tobytes(), dt)
+    centers, u = tables.locate(np.array(amplitudes))
+    norm = Fraction(np.abs(dt * k).sum(axis=0).max())
+    if not norm:
+        # a zero control: every amplitude takes the one center 0
+        assert (centers == 0.0).all() and (u == 0.0).all()
+        return
+    # h is the largest power of two with (h/2) * ||dt*K||_1 <= rho
+    spacing = Fraction(2) ** -tables._shift
+    assert spacing / 2 * norm <= _RHO < spacing * norm
+    for c, j, off in zip(amplitudes, centers.tolist(), u.tolist()):
+        # c_j = j * h and u = c/h - j are exact, but for a u below the float
+        # range, too small for any table term to see; |u| <= 1/2
+        assert j == int(j)
+        assert abs(Fraction(c) / spacing - j - Fraction(off)) <= Fraction(2) ** -1075
+        assert abs(off) <= 0.5
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "drift, h, dt, amplitudes, min_scale",
+    "drift, h, dt, amplitudes",
     [
         # zero control: no amplitude dependence, a huge amplitude included
-        (DRIFTS["ad"], (0.0, 0.0, 0.0), SLOT_DT, [15.0, -15.0, 0.0, 1e300], 0),
+        (DRIFTS["ad"], (0.0, 0.0, 0.0), SLOT_DT, [15.0, -15.0, 0.0, 1e300]),
         # the diagonal 2 * gamma * dt = 2.8 exceeds theta at every amplitude
-        (DriftGenerator.dephasing(10.0), (0.0, 1.0, 1.0), SLOT_DT, [15.0, -15.0, 0.0], 1),
+        (DriftGenerator.dephasing(10.0), (0.0, 1.0, 1.0), SLOT_DT, [15.0, -15.0, 0.0]),
         # the whole horizon in one slot, squared three to seven times
-        (DRIFTS["dp"], (0.0, 1.0, 1.0), 20 * SLOT_DT, [15.0, -15.0, 0.0], 3),
+        (DRIFTS["dp"], (0.0, 1.0, 1.0), 20 * SLOT_DT, [15.0, -15.0, 0.0]),
+        # a subnormal control norm: the spacing h is near the float maximum
+        (DRIFTS["ad"], (0.0, 0.0, 2.2e-309), SLOT_DT, [15.0, -15.0, 0.0, 1e300]),
     ],
-    ids=["zero-control", "scaled-drift", "one-slot"],
+    ids=["zero-control", "scaled-drift", "one-slot", "subnormal-control"],
 )
-def test_slot_blocks_at_the_edges(drift, h, dt, amplitudes, min_scale):
+def test_slot_blocks_at_the_edges(drift, h, dt, amplitudes):
     control = ControlHamiltonian(h)
     k = control_matrix(control)
-    poly = _slot_polynomial(drift.matrix.tobytes(), k.tobytes(), dt)
-    scales = poly.scales(np.array(amplitudes))
-    assert scales.tolist() == norm_rule_scales(drift, control, dt, amplitudes).tolist()
-    assert scales.min() == min_scale
-    assert poly.scales(np.array([-1e300, -1.0, 1.0, 1e300])).min() >= min_scale
     blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
-    with mpmath.workdps(40):
-        for gen, block in zip(slot_stack(drift, amplitudes, dt, True, h), blocks):
-            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
-            assert np.max(np.abs(block - np.array(exact.tolist(), dtype=float))) < SLOT_ATOL
+    for exact, block in zip(exact_slot_blocks(drift, amplitudes, dt, h), blocks):
+        assert np.max(np.abs(block - exact)) < SLOT_ATOL
+    if not any(h):
+        assert len(_slot_tables(drift.matrix.tobytes(), k.tobytes(), dt)._built[0]) == 1
     # m = 1: the public propagators take the same block
     for c, block in zip(amplitudes, blocks):
         pulse = PulseSequence(dt, (c,))
         total, (jac,) = propagate_with_jacobian(drift, control, pulse)
         assert total.tobytes() == propagate(drift, control, pulse).tobytes()
-        assert total.tobytes() == np.ascontiguousarray(block[:4, :4]).tobytes()
-        assert jac.tobytes() == np.ascontiguousarray(block[:4, 4:]).tobytes()
+        assert total.tobytes() == np.ascontiguousarray(block[:, :4]).tobytes()
+        assert jac.tobytes() == np.ascontiguousarray(block[:, 4:]).tobytes()
 
 
-def test_concurrent_first_uses_of_scales_agree_with_a_serial_build():
-    # Each thread's amplitudes need scales nobody has built yet, so the
-    # threads extend the shared coefficient table at the same time; a lost
-    # or misplaced scale would hand some slot the wrong coefficients.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [SLOT_DT, 20 * SLOT_DT])
+def test_unresolvable_amplitudes_give_nan_blocks_without_a_warning(dt):
+    # Once |c| * ||dt*K||_1 passes theta_25 * 2**52 (about 1e16), a center's
+    # exponential would need more squarings than a double has bits.
+    l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    huge = [1e20, -1e200, 1e300, -1e300, 1.5e308, np.finfo(float).max]
+    blocks = _slot_blocks(l0, k, dt, [15.0] + huge + [0.0])
+    assert np.isfinite(blocks[[0, -1]]).all()
+    assert np.isnan(blocks[1:-1]).all()
+    # half that amplitude still resolves
+    norm = np.abs(dt * k).sum(axis=0).max()
+    edge = _THETA * 2.0**_MAX_SQUARINGS / norm / 2
+    assert np.isfinite(_slot_blocks(l0, k, dt, [edge, -edge])).all()
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(
+    drift=drifts,
+    h=controls,
+    dt=st.floats(0.01, 2.8),
+    j=st.integers(-40, 40),
+    side=st.sampled_from([-1, 1]),
+)
+def test_slot_blocks_match_scipy_at_center_boundaries(drift, h, dt, j, side):
+    # (j + 1/2) * h is the boundary between two centers' tables; one ulp to
+    # either side the amplitude takes the other table, and both must give
+    # the exponential and its derivative.
+    k = control_matrix(h)
+    tables = _slot_tables(drift.matrix.tobytes(), k.tobytes(), dt)
+    boundary = np.ldexp(j + 0.5, -tables._shift) if k.any() else 0.0
+    amplitudes = [boundary, np.nextafter(boundary, side * np.inf), boundary * side]
+    blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
+    for c, block in zip(amplitudes, blocks):
+        value, deriv = scipy.linalg.expm_frechet(dt * (drift.matrix + c * k), dt * k)
+        assert np.max(np.abs(block[:, :4] - value)) < SLOT_ATOL
+        assert np.max(np.abs(block[:, 4:] - deriv)) < SLOT_ATOL
+
+
+def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
+    l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    pulses = [np.linspace(-15.0, 15.0, 7) + shift for shift in (0.0, 0.3, 40.0, 0.0)]
+    reference = [_SlotTables(l0, k, SLOT_DT).blocks(p) for p in pulses]
+    monkeypatch.setattr(lindblad, "_MAX_CENTERS", 10)
+    tables = _SlotTables(l0, k, SLOT_DT)
+    for pulse, ref in zip(pulses, reference):
+        assert tables.blocks(pulse).tobytes() == ref.tobytes()
+        index, table = tables._built
+        assert len(index) == len(table) <= 10
+
+
+def test_concurrent_first_uses_of_centers_agree_with_a_serial_build():
+    # Each thread's amplitudes need centers nobody has built yet, so the
+    # threads extend the shared table stack at the same time; a lost or
+    # misplaced center would hand some slot the wrong table.
     l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
     pulses = [np.array([c, -c]) * 2.0**j for j in range(4) for c in (1.0, 3.0, 7.0, 15.0)]
-    reference = [_SlotPolynomial(l0, k, SLOT_DT).blocks(p) for p in pulses]
+    reference = [_SlotTables(l0, k, SLOT_DT).blocks(p) for p in pulses]
     for _ in range(5):
-        shared = _SlotPolynomial(l0, k, SLOT_DT)
+        shared = _SlotTables(l0, k, SLOT_DT)
         results = [None] * len(pulses)
 
         def work(i):

@@ -392,12 +392,12 @@ def test_channel_value_is_the_public_robustness_bit_for_bit(x1, x2, seed, env_di
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_channel_with_nan_is_an_invalid_effect(bad):
     # The entry multiplies the identity coefficient of both effects, so both
-    # transported effects carry it.  An infinity times the resource map's
-    # zeros is NaN; numpy's warning about that is not what is checked here.
+    # transported effects would carry it, and an infinity times the resource
+    # map's zeros is a NaN.  The typed error comes without numpy's warning.
     evaluator = ScenarioEvaluator(xz_scenario("ad"))
     channel = np.eye(4)
     channel[1, 0] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidEffectError):
+    with pytest.raises(InvalidEffectError):
         evaluator.channel_value(channel)
 
 
