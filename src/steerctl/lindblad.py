@@ -236,8 +236,11 @@ _RHO = 0.25
 _MAX_SQUARINGS = 52
 
 #: Centers kept per (drift, control, dt); a call that would exceed it starts
-#: the cache afresh.
+#: the cache afresh from its own centers.
 _MAX_CENTERS = 1024
+
+#: Centers built in one stack: each holds about 150 KB of (56, 56) temporaries.
+_BUILD_CHUNK = 32
 
 
 def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -328,9 +331,13 @@ class _SlotTables:
             # A fresh pair, swapped in whole, so concurrent callers stay consistent.
             new = sorted(missing)
             if len(index) + len(new) > _MAX_CENTERS:
-                index, table = {}, table[:0]
+                index, table, new = {}, table[:0], sorted(set(keys))
             index = {**index, **{j: len(index) + i for i, j in enumerate(new)}}
-            table = np.concatenate([table, self._tables(np.array(new))])
+            new = np.array(new)
+            # Each matrix's products are its own, so chunks keep the bits.
+            starts = range(0, len(new), _BUILD_CHUNK)
+            chunks = [self._tables(new[i : i + _BUILD_CHUNK]) for i in starts]
+            table = np.concatenate([table, *chunks])
             self._built = (index, table)
         powers = np.empty((_TABLE_TERMS, len(keys)))
         powers[0] = 1.0

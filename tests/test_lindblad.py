@@ -3,6 +3,7 @@
 import pickle
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -651,7 +652,11 @@ def test_slot_blocks_match_scipy_at_center_boundaries(drift, h, dt, j, side):
 
 def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
     l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
-    pulses = [np.linspace(-15.0, 15.0, 7) + shift for shift in (0.0, 0.3, 40.0, 0.0)]
+    box = np.linspace(-15.0, 15.0, 7)
+    pulses = [box + shift for shift in (0.0, 0.3, 40.0, 0.0)]
+    # Three cached centers and four new ones overflow the cache: its fresh
+    # start must hold the cached three as well.
+    pulses.append(np.concatenate([box[:3], box[3:] + 40.0]))
     reference = [_SlotTables(l0, k, SLOT_DT).blocks(p) for p in pulses]
     monkeypatch.setattr(lindblad, "_MAX_CENTERS", 10)
     tables = _SlotTables(l0, k, SLOT_DT)
@@ -659,6 +664,22 @@ def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
         assert tables.blocks(pulse).tobytes() == ref.tobytes()
         index, table = tables._built
         assert len(index) == len(table) <= 10
+
+
+def test_cold_center_build_is_chunked():
+    # Each new center needs about 150 KB of (56, 56) temporaries, so the 256
+    # centers of this axis, built in one stack, peaked at about 38 MB.
+    l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    tables = _SlotTables(l0, k, 1.4)
+    amplitudes = np.arange(-8.0, 8.0, 1.0 / 16.0)
+    tracemalloc.start()
+    try:
+        tables.blocks(amplitudes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables._built[0]) == 256
+    assert peak < 8e6
 
 
 def test_concurrent_first_uses_of_centers_agree_with_a_serial_build():
