@@ -42,7 +42,7 @@ from .lindblad import (
     propagate,
 )
 from .qubit_algebra import BipartiteState, FourVector, sharp_effect
-from .steering import ScenarioEvaluator, SteeringScenario
+from .steering import SteeringScenario, steering_robustness
 
 COMMANDS = ("check", "robustness", "evolve", "optimize", "naive", "landscape", "sweep")
 
@@ -403,7 +403,7 @@ def _cmd_check(rc: RunConfig) -> None:
 
 def _cmd_robustness(rc: RunConfig) -> None:
     pulse = _require(rc.pulse, "pulse", rc.command)
-    value = ScenarioEvaluator(_scenario(rc)).pulse_value(pulse.dt, pulse.amplitudes)
+    value = steering_robustness(_scenario(rc), pulse)
     _write_json(
         rc.out_prefix + ".json",
         {
@@ -496,9 +496,8 @@ def _cmd_sweep(rc: RunConfig) -> None:
     else:
         # Zero-pulse-only mode: just the uncontrolled column, so the CSV
         # carries only the columns that were actually computed.
-        evaluator = ScenarioEvaluator(scenario)
         m = rc.opt.m if rc.opt is not None else OptimizeConfig.m
-        rows = [[t, evaluator.pulse_value(t / m, (0.0,) * m)] for t in t_grid]
+        rows = [[t, steering_robustness(scenario, PulseSequence.zero(m, t))] for t in t_grid]
         _write_csv(rc.out_prefix + ".csv", "T,uncontrolled", map(_csv_line, rows))
         best = max(r[1] for r in rows)
         print(f"sweep best uncontrolled robustness = {_fmt(best)}")

@@ -11,7 +11,9 @@ Every random choice is drawn from a generator seeded by (seed, start index),
 so results are deterministic and independent of execution order.  Starts may
 run in parallel processes when the STEERCTL_THREADS environment variable is
 set above 1; the reduction over starts is order-independent, so parallel and
-serial runs return identical results.
+serial runs return identical results.  Every start, landscape and sweep
+evaluates through the scenario's one ScenarioEvaluator: serial starts share
+it, and a process pool receives it pickled with the scenario.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_blocks
-from .steering import ScenarioEvaluator, SteeringScenario
+from .steering import SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
 THREADS_ENV = "STEERCTL_THREADS"
@@ -229,13 +232,14 @@ def _start_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _solve_one_start(
-    evaluator: ScenarioEvaluator, cfg: OptimizeConfig, kind: str, index: int
+    s: SteeringScenario, cfg: OptimizeConfig, kind: str, index: int
 ) -> tuple[np.ndarray, float, int]:
     """One start of either optimizer.  index -1 is the zero-pulse start.
 
     Returns (pulse, metric, iterations) with metric the steering robustness
     for the direct optimizer and the distance-to-identity for the naive one.
     """
+    evaluator = s._evaluator
     dt = cfg.dt
     lo, hi = cfg.amp_bounds
     if kind == "steer":
@@ -250,37 +254,28 @@ def _solve_one_start(
             return _identity_distance(l0, k, dt, c)
 
     rng = None if index < 0 else _start_rng(cfg.seed, index)
-    x0 = np.zeros(cfg.m) if rng is None else rng.uniform(lo, hi, cfg.m)
-    best = _descend(fun_and_grad, x0, cfg.amp_bounds, cfg.max_iters)
-    iterations = best.iterations
-    if kind == "steer" and rng is not None:
-        # The plateau value 0 has zero gradient; redraw within the box a
-        # bounded number of times before accepting a flat start.
-        tries = 0
-        while best.value >= 0.0 and tries < _FLAT_RESTARTS:
-            retry = _descend(
-                fun_and_grad, rng.uniform(lo, hi, cfg.m), cfg.amp_bounds, cfg.max_iters
-            )
-            iterations += retry.iterations
-            if retry.value < best.value:
-                best = retry
-            tries += 1
+    # The plateau value 0 has zero gradient; a random steering start redraws
+    # within the box a bounded number of times before accepting a flat start.
+    redraws = _FLAT_RESTARTS if kind == "steer" and rng is not None else 0
+    iterations = 0
+    for tries in range(redraws + 1):
+        x0 = np.zeros(cfg.m) if rng is None else rng.uniform(lo, hi, cfg.m)
+        run = _descend(fun_and_grad, x0, cfg.amp_bounds, cfg.max_iters)
+        iterations += run.iterations
+        if tries == 0 or run.value < best.value:
+            best = run
+        if best.value < 0.0:
+            break
     metric = -best.value if kind == "steer" else best.value
     return best.x, metric, iterations
 
 
-def _solve_start_task(
-    args: tuple[SteeringScenario, OptimizeConfig, str, int]
-) -> tuple[np.ndarray, float, int]:
-    scenario, cfg, kind, index = args
-    return _solve_one_start(ScenarioEvaluator(scenario), cfg, kind, index)
-
-
 def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> OptimizeResult:
-    evaluator = ScenarioEvaluator(s)
+    evaluator = s._evaluator
     dt = cfg.dt
     baseline = evaluator.pulse_value(dt, (0.0,) * cfg.m)
     indices = [-1] + list(range(cfg.n_starts))
+    solve = partial(_solve_one_start, s, cfg, kind)
     workers = _worker_count()
     if workers > 1:
         # Imported on first use, like scipy.optimize in _descend: the pool
@@ -288,11 +283,9 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(_solve_start_task, [(s, cfg, kind, i) for i in indices])
-            )
+            outcomes = list(pool.map(solve, indices))
     else:
-        outcomes = [_solve_one_start(evaluator, cfg, kind, i) for i in indices]
+        outcomes = list(map(solve, indices))
     pulses = [out[0] for out in outcomes]
     metrics = [out[1] for out in outcomes]
     iterations = tuple(out[2] for out in outcomes)
@@ -355,20 +348,23 @@ def landscape(
     for name, axis in (("c1_axis", c1s), ("c2_axis", c2s)):
         if axis.ndim != 1 or axis.size == 0 or not np.isfinite(axis).all():
             raise ValueError(f"{name} must be a nonempty 1-D sequence of finite amplitudes")
-    evaluator = ScenarioEvaluator(s)
+    evaluator = s._evaluator
     l0 = evaluator.drift_generator
     k = evaluator.control_generator
     dt = 0.5 * (T - t_drift)
 
     # The drift window is a zero-amplitude slot of length t_drift.
     drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :, :4]
-    slot1 = _slot_blocks(l0, k, dt, c1s)[..., :4]
-    slot2 = _slot_blocks(l0, k, dt, c2s)[..., :4]
+    # Both axes' distinct amplitudes in one call, so a center they share is
+    # built once; each axis keeps its indices into the one stack.
+    amps, where = np.unique(np.concatenate([c1s, c2s]), return_inverse=True)
+    slots = _slot_blocks(l0, k, dt, amps)[..., :4]
+    rows, cols = where[: c1s.size].tolist(), where[c1s.size :].tolist()
     values = np.empty((c1s.size, c2s.size))
-    for i in range(c1s.size):
-        head = drift_part @ slot1[i]
-        for j in range(c2s.size):
-            values[i, j] = evaluator.channel_value(head @ slot2[j])
+    for i, row in enumerate(rows):
+        head = drift_part @ slots[row]
+        for j, col in enumerate(cols):
+            values[i, j] = evaluator.channel_value(head @ slots[col])
     return LandscapeGrid(t_drift=t_drift, T=T, c1_axis=c1s, c2_axis=c2s, values=values)
 
 

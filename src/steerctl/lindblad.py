@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InvalidEffectError
 from .qubit_algebra import PAULI_BASIS
 
 #: 4x4 real matrices in the (Id, sigma_x, sigma_y, sigma_z) basis.
@@ -235,8 +236,8 @@ _RHO = 0.25
 #: double the rounding error of the last.
 _MAX_SQUARINGS = 52
 
-#: Centers kept per (drift, control, dt); a call that would exceed it starts
-#: the cache afresh from its own centers.
+#: Centers kept per (drift, control, dt), and slots served in one batch; a
+#: batch that would exceed it starts the cache afresh from its own centers.
 _MAX_CENTERS = 1024
 
 #: Centers built in one stack: each holds about 150 KB of (56, 56) temporaries.
@@ -316,18 +317,42 @@ class _SlotTables:
         return table.reshape(-1, d, 32)
 
     def locate(self, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The center index j and the offset u = (c - j*h)/h of each amplitude c."""
+        """The center index j and c/h of each amplitude c; u = c/h - j is their difference."""
         scaled = np.ldexp(np.minimum(np.maximum(amplitudes, -self._bound), self._bound), self._shift)
-        centers = np.rint(scaled)
-        return centers, scaled - centers
+        return np.rint(scaled), scaled
 
     def blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The (m, 4, 8) slot blocks [E | F] of the amplitudes."""
-        centers, u = self.locate(amplitudes)
+        """The (m, 4, 8) slot blocks [E | F] of the amplitudes.
+
+        A call of more than _MAX_CENTERS slots is served in batches of that
+        many, in order of their centers, so neither the cache nor a batch's
+        gathered tables hold more centers than that.
+
+        Raises:
+            InvalidEffectError: if a center is not finite, which a NaN
+                amplitude gives, and an infinite one at a spacing h >= 1
+                (a zero control's included); no table is kept for it.
+        """
+        centers, scaled = self.locate(amplitudes)
+        if len(centers) <= _MAX_CENTERS:
+            # One batch: the sort's gathers and scatter would cost a pulse
+            # evaluation about 4 us, a few percent of an optimizer's time.
+            return self._served(centers, scaled)
+        order = centers.argsort()
+        out = np.empty((len(order), 4, 8))
+        for slots in np.split(order, range(_MAX_CENTERS, len(order), _MAX_CENTERS)):
+            out[slots] = self._served(centers[slots], scaled[slots])
+        return out
+
+    def _served(self, centers: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+        """blocks for at most _MAX_CENTERS slots, their tables built if missing."""
         keys = centers.tolist()
         index, table = self._built
         missing = set(keys).difference(index)
         if missing:
+            # A NaN center never equals a cached one, so it always lands here.
+            if not all(map(math.isfinite, missing)):
+                raise InvalidEffectError("a slot amplitude is not finite")
             # A fresh pair, swapped in whole, so concurrent callers stay consistent.
             new = sorted(missing)
             if len(index) + len(new) > _MAX_CENTERS:
@@ -341,7 +366,7 @@ class _SlotTables:
             self._built = (index, table)
         powers = np.empty((_TABLE_TERMS, len(keys)))
         powers[0] = 1.0
-        powers[1:] = u
+        powers[1:] = scaled - centers
         # Each slot's powers u**i as one contiguous row, for its own product.
         powers = np.ascontiguousarray(np.multiply.accumulate(powers, out=powers).T)
         rows = table.take([index[j] for j in keys], axis=0)

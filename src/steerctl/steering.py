@@ -15,14 +15,15 @@ Because the dynamics enters only through M(c), the exact gradient in the
 pulse amplitudes follows from the incompatibility gradient and the
 propagator Jacobian by the chain rule.  Per evaluation, the transported
 effects y_i stay Python-float 4-tuples from the matrix products through the
-effect check to the root finder and the implicit gradient.
+effect check to the root finder and the implicit gradient.  A scenario
+builds one ScenarioEvaluator (resource map, generator matrices, effect
+arrays) on construction, and every evaluation of it goes through that one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,13 @@ def resource_map(rho: BipartiteState) -> TransferMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SteeringScenario:
-    """Shared state, Alice's two effects, dynamics, and the monotone bias."""
+    """Shared state, Alice's two effects, dynamics, and the monotone bias.
+
+    A scenario owns one ScenarioEvaluator, built on construction: the
+    module wrappers, every optimizer start, landscape and sweep evaluate
+    through it, serial starts share it, and pool workers receive it pickled
+    with the scenario.
+    """
 
     rho: BipartiteState
     x1: FourVector
@@ -106,17 +113,9 @@ class SteeringScenario:
         if not -1.0 < b < 1.0:
             raise ValueError(f"bias must lie in (-1, 1), got {b!r}")
         object.__setattr__(self, "b", b)
-        if np.linalg.eigvalsh(bob_marginal(rho))[0] < _RANK_TOL:
-            raise UnsupportedStateError(
-                "Bob marginal is rank-deficient; the scenario is a never-steerable "
-                "product state"
-            )
-
-    @cached_property
-    def _evaluator(self) -> "ScenarioEvaluator":
-        # The module-level wrappers share one evaluator per scenario.  Kept
-        # on the scenario, it lives exactly as long as the scenario does.
-        return ScenarioEvaluator(self)
+        # Building the evaluator runs resource_map, which rejects a
+        # rank-deficient Bob marginal.
+        object.__setattr__(self, "_evaluator", ScenarioEvaluator(self))
 
 
 class ScenarioEvaluator:

@@ -9,8 +9,10 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from steerctl import steering
 from steerctl import (
     BipartiteState,
     ControlHamiltonian,
@@ -124,6 +126,20 @@ def random_state(rng: np.random.Generator) -> BipartiteState:
     rho = g @ g.conj().T + 0.2 * np.eye(4)
     rho /= np.trace(rho).real
     return BipartiteState(rho)
+
+
+@pytest.fixture
+def resource_map_calls(monkeypatch) -> list[BipartiteState]:
+    """The state of every steering.resource_map call the test makes from here on."""
+    calls = []
+    built = steering.resource_map
+
+    def counting(rho: BipartiteState):
+        calls.append(rho)
+        return built(rho)
+
+    monkeypatch.setattr(steering, "resource_map", counting)
+    return calls
 
 
 def xz_scenario(kind: str, gamma: float = 0.1) -> SteeringScenario:

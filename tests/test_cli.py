@@ -276,6 +276,35 @@ def test_sweep_command_zero_pulse_only(tmp_path):
     assert values[0] > values[1] > values[2]
 
 
+TINY_OPTIMIZE = {"T": 1.0, "m": 3, "n_starts": 1, "seed": 0, "max_iters": 10}
+
+#: One config section set per command; sweep runs in both of its modes.
+EVALUATOR_RUNS = {
+    "robustness": {"pulse": {"dt": 0.14, "amplitudes": [0.0, 1.0]}},
+    "optimize": {"optimize": TINY_OPTIMIZE},
+    "naive": {"optimize": TINY_OPTIMIZE},
+    "landscape": {
+        "landscape": {
+            "t_drift": 2.6,
+            "T": 2.8,
+            "c1": {"min": -1.0, "max": 1.0, "step": 1.0},
+            "c2": {"min": -1.0, "max": 1.0, "step": 1.0},
+        }
+    },
+    "sweep": {"optimize": TINY_OPTIMIZE, "sweep": {"t_grid": [0.5, 1.0]}},
+    "sweep-zero-pulse": {"sweep": {"t_grid": [0.5, 1.0], "include_control": False}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_RUNS))
+def test_every_command_builds_one_evaluator(tmp_path, resource_map_calls, name):
+    # The scenario builds its evaluator, and with it the resource map, once;
+    # every start, cell and sweep point of the command reuses it.
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, **EVALUATOR_RUNS[name]})
+    assert run_cli(name.split("-")[0], config, tmp_path / "r") == 0
+    assert len(resource_map_calls) == 1
+
+
 def test_unexpected_errors_propagate(tmp_path, monkeypatch):
     # only ValueError means a bad config; any other exception is a bug and
     # must not be reported as exit 2

@@ -50,6 +50,10 @@ from steerctl.errors import (
     NoiseInsufficientError,
 )
 
+# The root finder and the implicit gradient make no BLAS call, so every
+# test here must pass on any BLAS kernel.
+pytestmark = pytest.mark.blas_kernel_independent
+
 X = sharp_effect([1.0, 0.0, 0.0])
 Z = sharp_effect([0.0, 0.0, 1.0])
 TRIVIAL = FourVector(1.0, 0.0, 0.0, 0.0)

@@ -23,7 +23,7 @@ from steerctl import (
     steering_robustness,
     time_sweep,
 )
-from steerctl import control
+from steerctl import control, lindblad
 from steerctl.errors import InvalidEffectError
 
 SMALL = OptimizeConfig(T=1.0, m=6, n_starts=4, seed=3, max_iters=60)
@@ -62,6 +62,7 @@ def test_optimize_config_validation():
     assert all(type(getattr(cfg, name)) is int for name in counts)
 
 
+@pytest.mark.blas_kernel_independent
 def test_result_shape_and_invariants():
     s = xz_scenario("ad")
     res = optimize(s, SMALL)
@@ -138,6 +139,7 @@ def test_bounds_are_respected():
         assert -0.5 - 1e-12 <= c <= 0.5 + 1e-12
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize(
     "kind, cfg, on_edge",
     [
@@ -281,6 +283,7 @@ def test_landscape_rejects_a_bad_axis_before_any_exponential(monkeypatch, name, 
         landscape(xz_scenario("ad"), t_drift=2.6, T=2.8, **axes)
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize("kind", ["ad", "dp"])
 def test_landscape_without_drift_is_the_two_slot_pulse_bit_for_bit(kind):
     # One way to build a channel: every landscape factor is a slot block of
@@ -294,6 +297,29 @@ def test_landscape_without_drift_is_the_two_slot_pulse_bit_for_bit(kind):
         [steering_robustness(s, PulseSequence(T / 2, (c1, c2))) for c2 in axis] for c1 in axis
     ]
     assert np.array_equal(grid.values, np.array(two_slot))
+
+
+def test_landscape_builds_a_center_both_axes_share_once(monkeypatch):
+    # With the center cache bounded, a c2 axis served after the c1 axis
+    # missed every center but those of c1's last batch and built them
+    # again.  Served together, each center is built once, with the same bits.
+    s = xz_scenario("ad")
+    c1 = np.arange(-15.0, 15.0)
+    c2 = np.concatenate([c1[::-1], [-0.0, 0.5]])
+    reference = landscape(s, t_drift=0.0, T=2.8, c1_axis=c1, c2_axis=c2).values
+    built = []
+    build = lindblad._SlotTables._tables
+
+    def counted(self, centers):
+        built.extend((self._dt, j) for j in centers.tolist())
+        return build(self, centers)
+
+    monkeypatch.setattr(lindblad._SlotTables, "_tables", counted)
+    monkeypatch.setattr(lindblad, "_MAX_CENTERS", 10)
+    lindblad._slot_tables.cache_clear()
+    grid = landscape(s, t_drift=0.0, T=2.8, c1_axis=c1, c2_axis=c2)
+    assert grid.values.tobytes() == reference.tobytes()
+    assert len(built) == len(set(built)) > 30
 
 
 @pytest.mark.parametrize("where", ["pulse", "c1_axis", "c2_axis"])
@@ -330,6 +356,14 @@ def test_time_sweep_rows():
         assert r.optimized >= r.uncontrolled - 1e-12
         assert r.optimized >= r.naive - 1e-12
         assert r.naive >= 0.0
+
+
+def test_time_sweep_builds_one_evaluator(resource_map_calls):
+    # Every point runs both optimizers on the scenario's own evaluator, so
+    # the one resource map is the one the scenario built.
+    cfg = OptimizeConfig(T=1.0, m=3, n_starts=1, seed=0, max_iters=10)
+    assert len(time_sweep(xz_scenario("ad"), cfg, [0.5, 1.0, 1.5])) == 3
+    assert len(resource_map_calls) == 1
 
 
 @settings(**PROPERTY_SETTINGS)

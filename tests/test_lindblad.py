@@ -314,6 +314,7 @@ def slot_stack(drift, amplitudes, dt, augmented, h=(0.0, 1.0, 1.0)):
     return augmented_slots(gens, dt, k) if augmented else gens
 
 
+@pytest.mark.blas_kernel_independent
 def test_expm_at_the_defective_critical_amplitude():
     # Amplitude damping rotated about sigma_x: the y-z block of L0 + c*K has
     # eigenvalues -3g/2 +- sqrt(g^2/4 - 4c^2), which coalesce into a
@@ -342,6 +343,7 @@ def test_expm_at_the_defective_critical_amplitude():
             assert np.max(np.abs(block[:, 4:] - deriv)) < SLOT_ATOL
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize("t", [0.5, 2.6, 10.0])
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
 def test_drift_window_matches_a_40_digit_exponential(drift, t):
@@ -421,6 +423,7 @@ def test_propagator_jacobian_matches_finite_differences():
         assert np.max(np.abs(jac[k] - numeric)) < 1e-7
 
 
+@pytest.mark.blas_kernel_independent
 def test_propagate_with_jacobian_is_consistent():
     rng = np.random.default_rng(37)
     g = DriftGenerator.dephasing(0.2)
@@ -431,6 +434,7 @@ def test_propagate_with_jacobian_is_consistent():
     assert len(jac) == p.m
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16, 17, 20, 32, 33])
 def test_stacked_scan_matches_separate_scans_bit_for_bit(m):
     rng = np.random.default_rng(38)
@@ -472,6 +476,7 @@ box_amplitudes = st.sampled_from([-15.0, 15.0]) | st.floats(-15.0, 15.0)
 slot_lengths = st.sampled_from([SLOT_DT, 20 * SLOT_DT]) | st.floats(0.01, 2.8)
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     drift=drifts,
@@ -494,6 +499,7 @@ def test_slot_block_does_not_depend_on_its_pulse(drift, h, dt, amplitudes, data)
     assert mixed[at].tobytes() == blocks[j].tobytes()
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     drift=drifts,
@@ -514,6 +520,7 @@ def test_slot_factors_keep_an_exact_unit_first_column(drift, h, dt, amplitudes):
         assert (frechet[:, 0, :] == 0.0).all()
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize("m", [1, 20])
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
 def test_slot_blocks_match_scipy(drift, m):
@@ -540,6 +547,7 @@ def exact_slot_blocks(drift, amplitudes, dt, h=(0.0, 1.0, 1.0)):
         ]
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.parametrize("dt", [SLOT_DT, 1.0, 20 * SLOT_DT])
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
 def test_slot_blocks_match_a_40_digit_exponential(drift, dt):
@@ -552,6 +560,7 @@ def test_slot_blocks_match_a_40_digit_exponential(drift, dt):
         assert np.max(np.abs(block - exact)) < SLOT_ATOL
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     drift=drifts,
@@ -562,7 +571,8 @@ def test_slot_blocks_match_a_40_digit_exponential(drift, dt):
 def test_slot_centers_follow_the_spacing_rule(drift, h, dt, amplitudes):
     k = control_matrix(h)
     tables = _slot_tables(drift.matrix.tobytes(), k.tobytes(), dt)
-    centers, u = tables.locate(np.array(amplitudes))
+    centers, scaled = tables.locate(np.array(amplitudes))
+    u = scaled - centers
     norm = Fraction(np.abs(dt * k).sum(axis=0).max())
     if not norm:
         # a zero control: every amplitude takes the one center 0
@@ -579,6 +589,7 @@ def test_slot_centers_follow_the_spacing_rule(drift, h, dt, amplitudes):
         assert abs(off) <= 0.5
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "drift, h, dt, amplitudes",
@@ -611,6 +622,7 @@ def test_slot_blocks_at_the_edges(drift, h, dt, amplitudes):
         assert jac.tobytes() == np.ascontiguousarray(block[:, 4:]).tobytes()
 
 
+@pytest.mark.blas_kernel_independent
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dt", [SLOT_DT, 20 * SLOT_DT])
 def test_unresolvable_amplitudes_give_nan_blocks_without_a_warning(dt):
@@ -627,6 +639,7 @@ def test_unresolvable_amplitudes_give_nan_blocks_without_a_warning(dt):
     assert np.isfinite(_slot_blocks(l0, k, dt, [edge, -edge])).all()
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     drift=drifts,
@@ -657,6 +670,9 @@ def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
     # Three cached centers and four new ones overflow the cache: its fresh
     # start must hold the cached three as well.
     pulses.append(np.concatenate([box[:3], box[3:] + 40.0]))
+    # One pulse with 40 distinct centers, in reverse order and with repeats,
+    # is served in batches of at most 10.
+    pulses.append(np.concatenate([np.arange(-20.0, 20.0)[::-1], box]))
     reference = [_SlotTables(l0, k, SLOT_DT).blocks(p) for p in pulses]
     monkeypatch.setattr(lindblad, "_MAX_CENTERS", 10)
     tables = _SlotTables(l0, k, SLOT_DT)
@@ -682,6 +698,26 @@ def test_cold_center_build_is_chunked():
     assert peak < 8e6
 
 
+def test_wide_cold_axis_is_served_in_bounded_batches(monkeypatch):
+    # 4096 slots on 1024 distinct centers, all kept and gathered at once,
+    # peaked at about 22 MB; served 64 slots at a time, the cache and the
+    # gathered tables stay small beside the build's chunk temporaries.
+    l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    monkeypatch.setattr(lindblad, "_MAX_CENTERS", 64)
+    tables = _SlotTables(l0, k, 1.4)
+    amplitudes = np.repeat(np.arange(-32.0, 32.0, 1.0 / 16.0), 4)
+    tracemalloc.start()
+    try:
+        blocks = tables.blocks(amplitudes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables._built[0]) == 64
+    assert np.isfinite(blocks).all()
+    assert peak < 8e6
+
+
+@pytest.mark.blas_kernel_independent
 def test_concurrent_first_uses_of_centers_agree_with_a_serial_build():
     # Each thread's amplitudes need centers nobody has built yet, so the
     # threads extend the shared table stack at the same time; a lost or

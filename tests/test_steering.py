@@ -51,7 +51,7 @@ from steerctl import (
     steering_robustness,
     steering_value_and_gradient,
 )
-from steerctl import steering
+from steerctl import lindblad
 from steerctl.qubit_algebra import PAULI_BASIS
 from test_compat import noisy_dc_dlam, noisy_norms
 
@@ -249,6 +249,7 @@ def test_gradient_on_random_full_rank_states():
         assert relative_gradient_error(np.asarray(grad), numeric) < 1e-5
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     x1=effects,
@@ -339,6 +340,7 @@ states = st.builds(
 )
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     rho=states,
@@ -358,6 +360,7 @@ def test_value_is_in_range_and_every_path_agrees_bit_for_bit(rho, x1, x2, drift,
     assert propagate(drift, control, pulse).tobytes() == total.tobytes()
 
 
+@pytest.mark.blas_kernel_independent
 @settings(**PROPERTY_SETTINGS)
 @given(
     x1=effects,
@@ -401,6 +404,30 @@ def test_channel_with_nan_is_an_invalid_effect(bad):
         evaluator.channel_value(channel)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "h, amplitudes",
+    [((0.0, 1.0, 1.0), [0.0, np.nan, 1.0]), ((0.0, 0.0, 0.0), [np.inf, 0.0])],
+    ids=["nan", "inf-zero-control"],
+)
+def test_non_finite_amplitudes_are_invalid_and_never_cached(h, amplitudes):
+    # A NaN center never equals a cached one, so unchecked each call would
+    # cache one more; an infinite amplitude at a center spacing h >= 1 (a
+    # zero control's included) would make numpy warn on its offset inf - inf.
+    s = xz_scenario("ad")
+    evaluator = ScenarioEvaluator(SteeringScenario(s.rho, s.x1, s.x2, s.drift, ControlHamiltonian(h)))
+    evaluator.pulse_value(0.14, [0.0, 1.0])
+    tables = lindblad._slot_tables(
+        evaluator.drift_generator.tobytes(), evaluator.control_generator.tobytes(), 0.14
+    )
+    cached = set(tables._built[0])
+    for _ in range(5):
+        for method in (evaluator.pulse_value, evaluator.pulse_value_and_gradient):
+            with pytest.raises(InvalidEffectError):
+                method(0.14, amplitudes)
+    assert set(tables._built[0]) == cached
+
+
 def test_non_cp_drift_is_reported_as_an_internal_inconsistency():
     # complete positivity of a user-supplied generator is not checked: this
     # one amplifies the Bloch components, so the transported effect leaves
@@ -413,15 +440,8 @@ def test_non_cp_drift_is_reported_as_an_internal_inconsistency():
         steering_robustness(grow, PulseSequence.zero(4, 1.0))
 
 
-def test_public_wrappers_build_one_evaluator_per_scenario(monkeypatch):
-    calls = []
-    built = steering.resource_map
-
-    def counting(rho):
-        calls.append(rho)
-        return built(rho)
-
-    monkeypatch.setattr(steering, "resource_map", counting)
+def test_public_wrappers_build_one_evaluator_per_scenario(resource_map_calls):
+    calls = resource_map_calls
     s = xz_scenario("ad")
     pulses = [PulseSequence(0.1, (float(k), -1.0, 2.0)) for k in range(10)]
     values = [steering_robustness(s, p) for p in pulses]
