@@ -452,6 +452,8 @@ def _cmd_optimize(rc: RunConfig, naive: bool) -> None:
             "best_pulse": _pulse_payload(result.best_pulse),
             "start_values": list(result.start_values),
             "iterations_per_start": list(result.iterations_per_start),
+            "evaluations_per_start": list(result.evaluations_per_start),
+            "descents_per_start": list(result.descents_per_start),
         },
     )
     label = "naive-control" if naive else "optimized"

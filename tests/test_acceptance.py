@@ -211,22 +211,32 @@ def test_07_gradient_suite(report):
 
 
 def test_08_monotonicity_suite(report):
+    # A random non-unitary channel alone leaves almost no pair steerable
+    # (4 of 750), where the bound reads 0 <= 0.  Mixing it with the identity
+    # at weight 1 - w, again a unital channel, keeps many pairs steerable.
     rng = np.random.default_rng(77)
     worst = -np.inf
+    steerable = 0
     for trial in range(1000):
         x1, x2 = random_incompatible_pair(rng, min_gap=1e-4)
         if trial % 4 == 0:
             channel = random_unitary_heisenberg(rng)
         else:
-            channel = random_cptp_heisenberg(rng, env_dim=2 + trial % 2)
+            drawn = random_cptp_heisenberg(rng, env_dim=2 + trial % 2)
+            w = rng.uniform(0.0, 0.3)
+            channel = (1.0 - w) * np.eye(4) + w * drawn
         before = robustness(x1, x2)
         after = robustness(
             FourVector.from_array(channel @ x1.as_array()),
             FourVector.from_array(channel @ x2.as_array()),
         )
+        if trial % 4 and after > 0.0:
+            steerable += 1
         worst = max(worst, after - before)
     report(8, "1000 random channels never increase the incompatibility monotone",
-           worst <= 1e-9, f"worst increase {worst:.3e}, allowed 1e-9")
+           worst <= 1e-9 and steerable >= 100,
+           f"worst increase {worst:.3e}, allowed 1e-9; {steerable} of 750 "
+           f"non-unitary draws steerable after the channel, need 100")
 
 
 def test_09_dynamics_oracles(report):

@@ -70,12 +70,60 @@ def test_result_shape_and_invariants():
     assert res.best_pulse.dt == pytest.approx(SMALL.dt)
     # zero start first, then one entry per random start
     assert len(res.start_values) == SMALL.n_starts + 1
-    assert len(res.iterations_per_start) == SMALL.n_starts + 1
     assert all(it >= 0 for it in res.iterations_per_start)
+    _assert_counts_are_consistent(res, SMALL.n_starts + 1)
     assert res.best_value == pytest.approx(max(res.start_values), abs=0.0)
     assert res.best_value >= res.baseline_value - 1e-12
     # reported best value is the value of the reported pulse, bit for bit
     assert steering_robustness(s, res.best_pulse) == res.best_value
+
+
+def _assert_counts_are_consistent(res, n):
+    # Every descent evaluates its start and then at least once per iteration.
+    counts = (res.iterations_per_start, res.evaluations_per_start, res.descents_per_start)
+    assert all(len(c) == n for c in counts)
+    for iterations, evaluations, descents in zip(*counts):
+        assert descents >= 1
+        assert evaluations >= iterations + descents
+
+
+@pytest.mark.parametrize(
+    "kind, runner, cfg",
+    [
+        ("ad", optimize, SMALL),
+        # most of this box is the zero plateau, so random starts redraw
+        ("dp", optimize, OptimizeConfig(T=2.8, m=10, n_starts=6, seed=0, max_iters=80)),
+        ("ad", naive_optimize, SMALL),
+    ],
+    ids=["optimize", "optimize-plateau", "naive"],
+)
+def test_evaluations_per_start_count_every_cost_call(monkeypatch, kind, runner, cfg):
+    s = xz_scenario(kind)
+    calls = []
+    if runner is optimize:
+        original = ScenarioEvaluator.pulse_value_and_gradient
+
+        def counted(self, dt, amplitudes):
+            calls.append(self is s._evaluator)
+            return original(self, dt, amplitudes)
+
+        monkeypatch.setattr(ScenarioEvaluator, "pulse_value_and_gradient", counted)
+    else:
+        original = control._identity_distance
+
+        def counted(*args):
+            calls.append(True)
+            return original(*args)
+
+        monkeypatch.setattr(control, "_identity_distance", counted)
+    res = runner(s, cfg)
+    assert all(calls)
+    assert sum(res.evaluations_per_start) == len(calls)
+    _assert_counts_are_consistent(res, cfg.n_starts + 1)
+    if runner is naive_optimize or kind == "ad":
+        assert set(res.descents_per_start) == {1}
+    else:
+        assert max(res.descents_per_start) > 1
 
 
 def test_baseline_is_the_zero_pulse_value():
@@ -94,6 +142,8 @@ def test_optimizer_is_deterministic():
     assert first.best_pulse.amplitudes == second.best_pulse.amplitudes
     assert first.start_values == second.start_values
     assert first.iterations_per_start == second.iterations_per_start
+    assert first.evaluations_per_start == second.evaluations_per_start
+    assert first.descents_per_start == second.descents_per_start
     shifted = optimize(s, OptimizeConfig(T=1.0, m=6, n_starts=4, seed=4, max_iters=60))
     assert shifted.start_values != first.start_values
 
@@ -106,6 +156,9 @@ def test_parallel_starts_match_serial(monkeypatch):
     assert parallel.best_value == serial.best_value
     assert parallel.best_pulse.amplitudes == serial.best_pulse.amplitudes
     assert parallel.start_values == serial.start_values
+    assert parallel.iterations_per_start == serial.iterations_per_start
+    assert parallel.evaluations_per_start == serial.evaluations_per_start
+    assert parallel.descents_per_start == serial.descents_per_start
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
