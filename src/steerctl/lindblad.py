@@ -18,9 +18,12 @@ matrix coefficients gives E and its derivative dE/dc.  A slot costs one
 no squaring.  A center's table is built once, when an amplitude first
 needs it, from the exponential of a block bidiagonal matrix (Najfeld and
 Havel 1995), itself the degree-25 Taylor polynomial (Al-Mohy and Higham
-2011) scaled and squared.  A drift window of length t is the
-zero-amplitude slot of length t.  No eigendecomposition is used: L_0 + c*K
-is defective at the amplitude where damped rotation is critically damped.
+2011) scaled and squared.  That matrix, each Horner iterate and each square
+is upper block-Toeplitz, so only first block rows of 4x4 blocks are formed
+and multiplied, by a truncated block convolution.  A drift window of
+length t is the zero-amplitude slot of length t.  No eigendecomposition is
+used: L_0 + c*K is defective at the amplitude where damped rotation is
+critically damped.
 No linear solve is used either, so the unit first column of every slot
 exponential of a unital drift (and the unit first row under dephasing) is
 exact.
@@ -240,16 +243,6 @@ _MAX_SQUARINGS = 52
 #: batch that would exceed it starts the cache afresh from its own centers.
 _MAX_CENTERS = 1024
 
-#: Centers built in one stack: each holds about 150 KB of (56, 56) temporaries.
-_BUILD_CHUNK = 32
-
-
-def _square(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Square matrix i of the (n, k, k) stack r s_i times, each on its own."""
-    for step in range(int(s.max(initial=0))):
-        r = np.where((s > step)[:, None, None], r @ r, r)
-    return r
-
 
 class _SlotTables:
     """The slot block [E | F] of one (drift, control, dt) at every amplitude c.
@@ -268,7 +261,12 @@ class _SlotTables:
     |u| <= 1/2; a zero control takes every amplitude to the one center 0.
     That exponential is the degree-25 Taylor polynomial of the matrix scaled
     to 1-norm theta_25, squared back, in products only, so a zero first
-    column (row) of L0 and K leaves an exact unit first column (row).
+    column (row) of L0 and K leaves an exact unit first column (row).  The
+    matrix, each Horner iterate and each square is upper block-Toeplitz and
+    so fixed by its first block row (r_0, ..., r_D): with xg and xs the
+    scaled diagonal and upper blocks, a Horner step takes r_k to
+    (xg @ r_k + xs @ r_{k-1}) / j, plus I in block 0, and a square has
+    blocks sum_{i<=k} r_i @ r_{k-i}, summed in order of i.
 
     Row i of a center's (D, 4, 8) table is [C_i | (i+1) C_{i+1} / h].  The
     tables are built when an amplitude first needs them, with the same bits
@@ -300,19 +298,29 @@ class _SlotTables:
             c = np.ldexp(centers, -self._shift) + 0.0
             gens = self._dt * (self._l0 + c[:, None, None] * self._k)
             step = np.ldexp(self._dt * self._k, -self._shift)
-            big = np.kron(np.eye(d + 1), gens) + np.kron(np.eye(d + 1, k=1), step)
-            norms = np.abs(big).sum(axis=1).max(axis=1)
+            # The bidiagonal matrix's 1-norm: a column meets at most one block of each.
+            norms = (np.abs(gens).sum(axis=1) + np.abs(step).sum(axis=0)).max(axis=1)
             s = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0)))
             ok = s <= _MAX_SQUARINGS
             s = np.where(ok, s, 0).astype(int)
-            x = np.ldexp(big, -s[:, None, None])
-            eye = np.eye(4 * d + 4)
-            r = eye
+            xg = np.ldexp(gens, -s[:, None, None])[:, None]
+            xs = np.ldexp(step, -s[:, None, None])[:, None]
+            # First block rows only: x @ r has blocks xg @ r_k + xs @ r_{k-1}.
+            r = np.zeros((len(c), d + 1, 4, 4))
+            r[:, 0] = np.eye(4)
             for j in range(_TAYLOR_DEGREE, 0, -1):
-                r = eye + (x @ r) / j
-            blocks = _square(r, s)[:, :4].reshape(-1, 4, d + 1, 4).transpose(0, 2, 1, 3)
-            derivs = np.ldexp(np.arange(1.0, d + 1)[:, None, None] * blocks[:, 1:], self._shift)
-            table = np.concatenate([blocks[:, :d], derivs], axis=3)
+                x_r = xg @ r
+                x_r[:, 1:] += xs @ r[:, :-1]
+                r = x_r / j
+                r[:, 0] += np.eye(4)
+            # r @ r has blocks sum_{i<=k} r_i @ r_{k-i}, summed in order of i.
+            for squared in range(int(s.max(initial=0))):
+                r_r = np.zeros_like(r)
+                for i in range(d + 1):
+                    r_r[:, i:] += r[:, i, None] @ r[:, : d + 1 - i]
+                r = np.where((s > squared)[:, None, None, None], r_r, r)
+            derivs = np.ldexp(np.arange(1.0, d + 1)[:, None, None] * r[:, 1:], self._shift)
+            table = np.concatenate([r[:, :d], derivs], axis=3)
             table[~(ok & np.isfinite(table).all(axis=(1, 2, 3)))] = np.nan
         return table.reshape(-1, d, 32)
 
@@ -358,11 +366,7 @@ class _SlotTables:
             if len(index) + len(new) > _MAX_CENTERS:
                 index, table, new = {}, table[:0], sorted(set(keys))
             index = {**index, **{j: len(index) + i for i, j in enumerate(new)}}
-            new = np.array(new)
-            # Each matrix's products are its own, so chunks keep the bits.
-            starts = range(0, len(new), _BUILD_CHUNK)
-            chunks = [self._tables(new[i : i + _BUILD_CHUNK]) for i in starts]
-            table = np.concatenate([table, *chunks])
+            table = np.concatenate([table, self._tables(np.array(new))])
             self._built = (index, table)
         powers = np.empty((_TABLE_TERMS, len(keys)))
         powers[0] = 1.0

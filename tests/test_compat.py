@@ -460,7 +460,7 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
         axis = np.arange(-15.0, 15.0 + 1e-9, 0.5)
         run = lambda: landscape(xz_scenario("dp"), 2.6, 2.8, axis, axis)
     else:
-        run = lambda: optimize(xz_scenario("ad"), OptimizeConfig(T=2.8, m=20, n_starts=3, seed=0))
+        run = lambda: optimize(xz_scenario("ad"), OptimizeConfig(T=2.8, m=20, n_starts=4, seed=0))
     roots = nonzero_root_inputs(monkeypatch, run)
     calls = [0]
 

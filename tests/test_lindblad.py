@@ -663,6 +663,69 @@ def test_slot_blocks_match_scipy_at_center_boundaries(drift, h, dt, j, side):
         assert np.max(np.abs(block[:, 4:] - deriv)) < SLOT_ATOL
 
 
+def dense_slot_tables(tables, centers):
+    """The (n, D, 32) tables of _SlotTables._tables, from the whole bidiagonal matrix.
+
+    The (D+1)-block bidiagonal matrix is built densely with np.kron, and
+    its exponential is the same degree-25 Taylor polynomial with the same
+    scale and squarings, on (4D+4, 4D+4) matrices; the table is block i of
+    its top block row.  scipy.linalg.expm is no oracle here: its Pade
+    approximant rounds differently, by up to 5e-14 in E at dt = 1.4 and 2.8
+    with the stock drifts, well above the 1e-14 asked of _tables.
+    """
+    d = _TABLE_TERMS
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.ldexp(centers, -tables._shift) + 0.0
+        gens = tables._dt * (tables._l0 + c[:, None, None] * tables._k)
+        step = np.ldexp(tables._dt * tables._k, -tables._shift)
+        big = np.kron(np.eye(d + 1), gens) + np.kron(np.eye(d + 1, k=1), step)
+        norms = np.abs(big).sum(axis=1).max(axis=1)
+        s = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0)))
+        ok = s <= _MAX_SQUARINGS
+        s = np.where(ok, s, 0).astype(int)
+        x = np.ldexp(big, -s[:, None, None])
+        eye = np.eye(4 * d + 4)
+        r = eye
+        for j in range(_TAYLOR_DEGREE, 0, -1):
+            r = eye + (x @ r) / j
+        for squared in range(int(s.max(initial=0))):
+            r = np.where((s > squared)[:, None, None], r @ r, r)
+        blocks = r[:, :4].reshape(-1, 4, d + 1, 4).transpose(0, 2, 1, 3)
+        derivs = np.ldexp(np.arange(1.0, d + 1)[:, None, None] * blocks[:, 1:], tables._shift)
+        table = np.concatenate([blocks[:, :d], derivs], axis=3)
+        table[~(ok & np.isfinite(table).all(axis=(1, 2, 3)))] = np.nan
+    return table.reshape(-1, d, 32)
+
+
+@pytest.mark.blas_kernel_independent
+@settings(**PROPERTY_SETTINGS)
+@given(
+    drift=drifts,
+    h=controls | st.just(ControlHamiltonian((0.0, 0.0, 0.0))),
+    dt=slot_lengths,
+    # j * 2**e: from no squaring to _MAX_SQUARINGS, and past it (a NaN table)
+    centers=st.lists(
+        st.builds(lambda j, e: float(j) * 2.0**e, st.integers(-64, 64), st.integers(0, 56)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_slot_tables_match_the_dense_bidiagonal_exponential(drift, h, dt, centers):
+    # _tables works on first block rows only; every Horner iterate and
+    # every square of the bidiagonal matrix is upper block-Toeplitz, so it
+    # must give the dense build's tables up to rounding, NaN rows included.
+    tables = _SlotTables(drift.matrix, control_matrix(h), dt)
+    centers = np.array(centers)
+    got = tables._tables(centers)
+    expected = dense_slot_tables(tables, centers)
+    nan = np.isnan(expected).all(axis=(1, 2))
+    assert (np.isnan(got).all(axis=(1, 2)) == nan).all()
+    assert np.isfinite(got[~nan]).all()
+    scale = np.abs(expected[~nan]).max(axis=(1, 2), initial=0.0)
+    error = np.abs(got[~nan] - expected[~nan]).max(axis=(1, 2), initial=0.0)
+    assert (error <= 1e-14 * scale).all()
+
+
 def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
     l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
     box = np.linspace(-15.0, 15.0, 7)
@@ -682,9 +745,10 @@ def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
         assert len(index) == len(table) <= 10
 
 
-def test_cold_center_build_is_chunked():
-    # Each new center needs about 150 KB of (56, 56) temporaries, so the 256
-    # centers of this axis, built in one stack, peaked at about 38 MB.
+def test_cold_center_build_has_bounded_memory():
+    # The build's temporaries are first block rows, (14, 4, 4) per center,
+    # so the 256 new centers of this axis, built in one stack, peak at
+    # about 3 MB.
     l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
     tables = _SlotTables(l0, k, 1.4)
     amplitudes = np.arange(-8.0, 8.0, 1.0 / 16.0)
@@ -701,7 +765,7 @@ def test_cold_center_build_is_chunked():
 def test_wide_cold_axis_is_served_in_bounded_batches(monkeypatch):
     # 4096 slots on 1024 distinct centers, all kept and gathered at once,
     # peaked at about 22 MB; served 64 slots at a time, the cache and the
-    # gathered tables stay small beside the build's chunk temporaries.
+    # gathered tables stay small.
     l0, k = DRIFTS["ad"].matrix, control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
     monkeypatch.setattr(lindblad, "_MAX_CENTERS", 64)
     tables = _SlotTables(l0, k, 1.4)
