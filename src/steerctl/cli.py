@@ -4,7 +4,9 @@
 
 Commands: check, robustness, evolve, optimize, naive, landscape, sweep.
 The JSON config is validated against CONFIG_SCHEMA (unknown keys rejected)
-before anything runs.  Tabular commands (landscape, sweep) write CSV with
+before anything runs.  The check is done here, for the JSON Schema keywords
+the schema uses; jsonschema is imported only to word a violation, so a valid
+run never loads it.  Tabular commands (landscape, sweep) write CSV with
 fixed headers; the others write a JSON summary; every command prints its
 headline number to stdout.  Floats in CSV files carry 17 significant digits
 and outputs are byte-identical across reruns of the same config.
@@ -27,9 +29,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Iterable, Sequence
 
-import jsonschema
 import numpy as np
 
 from . import compat
@@ -145,8 +147,54 @@ CONFIG_SCHEMA: dict[str, Any] = {
     ),
 }
 
-#: Built once: jsonschema.validate would check the schema itself on every run.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+#: Python types of the JSON types the schema names, "integer" aside.
+_JSON_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float)
+}
+
+
+def _has_type(value: Any, name: str) -> bool:
+    """jsonschema's type check: a bool is no number, and 2.0 is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _conforms(value: Any, schema: dict[str, Any]) -> bool:
+    """Whether value is valid under schema, as JSON Schema 2020-12 has it.
+
+    Only the keywords CONFIG_SCHEMA uses are read, and const and enum
+    entries must be strings; the tests hold the schema to both and this
+    check to jsonschema's verdict.
+    """
+    if "type" in schema and not _has_type(value, schema["type"]):
+        return False
+    if "const" in schema and value != schema["const"]:
+        return False
+    if "enum" in schema and value not in schema["enum"]:
+        return False
+    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if not all(key in value for key in schema.get("required", ())):
+            return False
+        if schema.get("additionalProperties") is False and not value.keys() <= properties.keys():
+            return False
+        return all(_conforms(v, properties[k]) for k, v in value.items() if k in properties)
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return False
+        return all(_conforms(item, schema.get("items", {})) for item in value)
+    if _has_type(value, "number"):
+        return not (
+            "minimum" in schema and value < schema["minimum"]
+            or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+            or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]
+        )
+    return True
 
 
 @dataclass
@@ -526,9 +574,15 @@ def run(
         # ValueError covers invalid JSON, invalid UTF-8 and non-finite numbers.
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    # best_match picks the error jsonschema.validate would raise.
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
+    if not _conforms(raw, CONFIG_SCHEMA):
+        # Only a violation loads jsonschema, to word it: best_match picks
+        # the error jsonschema.validate would raise.
+        from jsonschema import Draft202012Validator
+        from jsonschema.exceptions import best_match
+
+        error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
+        if error is None:
+            raise RuntimeError("the config check rejects a config that jsonschema accepts")
         location = "/".join(str(p) for p in error.absolute_path) or "<root>"
         print(f"error: config schema violation at {location}: {error.message}", file=sys.stderr)
         return 2
@@ -537,22 +591,24 @@ def run(
         if command is None:
             print("error: no command given on the command line or in the config", file=sys.stderr)
             return 2
+    # Built per run, so that a handler replaced on the module is the one run.
+    handlers = {
+        "check": _cmd_check,
+        "robustness": _cmd_robustness,
+        "evolve": _cmd_evolve,
+        "optimize": partial(_cmd_optimize, naive=False),
+        "naive": partial(_cmd_optimize, naive=True),
+        "landscape": _cmd_landscape,
+        "sweep": _cmd_sweep,
+    }
+    if command not in handlers:
+        print(
+            f"error: unknown command {command!r}; expected one of {', '.join(COMMANDS)}",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        rc = _build_run_config(raw, command, out, seed)
-        if rc.command == "check":
-            _cmd_check(rc)
-        elif rc.command == "robustness":
-            _cmd_robustness(rc)
-        elif rc.command == "evolve":
-            _cmd_evolve(rc)
-        elif rc.command == "optimize":
-            _cmd_optimize(rc, naive=False)
-        elif rc.command == "naive":
-            _cmd_optimize(rc, naive=True)
-        elif rc.command == "landscape":
-            _cmd_landscape(rc)
-        else:
-            _cmd_sweep(rc)
+        handlers[command](_build_run_config(raw, command, out, seed))
     except SteerctlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

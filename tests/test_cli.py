@@ -1,16 +1,21 @@
 """Config-driven command line: schema, exit codes, and output files."""
 
+import copy
+import inspect
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SHARP_PAIR_VALUE
+from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE
 from steerctl import cli, landscape, time_sweep
-from steerctl.cli import CONFIG_SCHEMA, main
+from steerctl.cli import COMMANDS, CONFIG_SCHEMA, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -329,6 +334,17 @@ def test_command_mismatch_is_a_usage_error(tmp_path):
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "r")]) == 2
 
 
+def test_unknown_command_is_a_usage_error(tmp_path, capsys):
+    # A name outside COMMANDS runs nothing, not even the last command's
+    # handler, and writes no output.
+    payload = {"scenario": AD_SCENARIO, "sweep": {"t_grid": [0.5], "include_control": False}}
+    config = write_config(tmp_path, payload)
+    assert cli.run(config, command="bogus", out=str(tmp_path / "bogus")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown command 'bogus'; expected one of {', '.join(COMMANDS)}\n"
+    assert list(tmp_path.iterdir()) == [Path(config)]
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path):
     assert main(["check", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -557,6 +573,38 @@ SCHEMA_VIOLATIONS = {
         "<root>",
         {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1},
     ),
+    "bool-gamma": (
+        "scenario/drift/gamma",
+        {
+            "scenario": {
+                "measurements": XZ_MEASUREMENTS,
+                "drift": {"kind": "dephasing", "gamma": True},
+            }
+        },
+    ),
+    "bias-one-float": (
+        "scenario/bias",
+        {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1.0}},
+    ),
+    "bias-minus-one": (
+        "scenario/bias",
+        {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": -1}},
+    ),
+    "zero-step": (
+        "landscape/c1/step",
+        {
+            "scenario": {"measurements": XZ_MEASUREMENTS},
+            "landscape": {**landscape_block(), "c1": {"min": -1.0, "max": 1.0, "step": 0}},
+        },
+    ),
+    "short-axis": (
+        "scenario/measurements/axes/0",
+        {"scenario": {"measurements": {**XZ_MEASUREMENTS, "axes": [[1.0, 0.0], [0.0, 0.0, 1.0]]}}},
+    ),
+    "no-state-alternative": (
+        "scenario/state",
+        {"scenario": {"measurements": XZ_MEASUREMENTS, "state": {"kind": "ghz"}}},
+    ),
 }
 
 
@@ -570,6 +618,278 @@ def test_schema_violation_reports_what_jsonschema_validate_raises(tmp_path, caps
     assert run_cli("check", write_config(tmp_path, payload), tmp_path / "r") == 2
     err = capsys.readouterr().err
     assert err == f"error: config schema violation at {location}: {info.value.message}\n"
+
+
+# --- The in-repo config check against jsonschema ------------------------------
+
+#: The JSON Schema keywords cli._conforms implements.
+CHECKED_KEYWORDS = {
+    "type",
+    "properties",
+    "required",
+    "additionalProperties",
+    "const",
+    "enum",
+    "oneOf",
+    "items",
+    "minItems",
+    "maxItems",
+    "minimum",
+    "exclusiveMinimum",
+    "exclusiveMaximum",
+}
+
+
+def subschemas(schema):
+    yield schema
+    children = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    if "items" in schema:
+        children.append(schema["items"])
+    for child in children:
+        yield from subschemas(child)
+
+
+def test_config_schema_uses_only_what_the_check_implements():
+    # A schema edit beyond the in-repo check must fail here, not let configs
+    # through unchecked.
+    nodes = list(subschemas(CONFIG_SCHEMA))
+    assert set().union(*nodes) - {"$schema"} <= CHECKED_KEYWORDS
+    assert all("$schema" not in node for node in nodes[1:])
+    for node in nodes:
+        assert node.get("type", "integer") in {*cli._JSON_TYPES, "integer"}
+        assert node.get("additionalProperties", False) is False
+        # The check compares const and enum entries with ==, which agrees
+        # with JSON equality for strings only (True == 1 in Python).
+        entries = [*node.get("enum", ()), node.get("const", "")]
+        assert all(isinstance(entry, str) for entry in entries)
+
+
+VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+#: Valid configs: one per command and, between them, every alternative of
+#: every tagged section and both forms of a complex matrix entry.
+VALID_CONFIGS = [
+    {"command": "check", "scenario": {"measurements": XZ_MEASUREMENTS}},
+    {
+        "command": "check",
+        "scenario": {
+            "measurements": {
+                "kind": "four_vectors",
+                "x1": [1.0, 0.4, 0, 0],
+                "x2": [1, 0, 0, 0.4],
+            },
+            "bias": -0.5,
+        },
+        "output": "results/check",
+    },
+    {
+        "command": "robustness",
+        "scenario": AD_SCENARIO,
+        "pulse": {"dt": 0.14, "amplitudes": [0.0, 1]},
+    },
+    {
+        "command": "evolve",
+        "scenario": {
+            "state": {"kind": "werner", "v": 0.9},
+            "measurements": XZ_MEASUREMENTS,
+            "drift": {"kind": "dephasing", "gamma": 0},
+            "control": [0, 1.0, 1.0],
+            "bias": 0.25,
+        },
+        "pulse": {"dt": 0.5, "amplitudes": [0.0]},
+    },
+    {
+        "command": "optimize",
+        "scenario": {
+            "state": {
+                "kind": "explicit",
+                "matrix": [
+                    [0.5, 0, 0, [0.5, 0]],
+                    [0, 0, 0, 0],
+                    [0, 0, 0, 0],
+                    [[0.5, 0.0], 0, 0, 0.5],
+                ],
+            },
+            "measurements": XZ_MEASUREMENTS,
+            "drift": {
+                "kind": "custom",
+                "matrix": [[0, 0, 0, 0], [0, -0.1, 0, 0], [0, 0, -0.1, 0], [0.2, 0, 0, -0.2]],
+            },
+            "control": [0.0, 1.0, 1.0],
+        },
+        "optimize": {**TINY_OPTIMIZE, "amp_bounds": [-1, 1.5]},
+    },
+    {"command": "naive", "scenario": AD_SCENARIO, "optimize": {"T": 2}},
+    {"command": "landscape", "scenario": AD_SCENARIO, "landscape": landscape_block()},
+    {
+        "command": "sweep",
+        "scenario": AD_SCENARIO,
+        "optimize": TINY_OPTIMIZE,
+        "sweep": {"t_grid": [0.5, 1], "include_control": False},
+    },
+]
+
+#: Each bound in the schema (-1, 0 and 1), as an int, as a float and as the
+#: floats on either side of it.
+BOUND_VALUES = [
+    value
+    for bound in (-1, 0, 1)
+    for value in (bound, float(bound), math.nextafter(bound, -1.5), math.nextafter(bound, 1.5))
+]
+
+#: One of each JSON type, an integral float and names the schema knows.
+REPLACEMENTS = [None, True, False, 2, 2.0, 0.5, "dephasing", [], [1.0, 0.0], {}, {"kind": "custom"}]
+
+
+def node_paths(node, path=()):
+    """The path of node and of every value nested in it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config after one or two edits anywhere in it."""
+    box = [copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))]
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [(path, get_path(box, path)) for path in node_paths(box[0], (0,))]
+        targets = {
+            edit: [path for path, value in paths if applies(path, value)]
+            for edit, applies in EDITS.items()
+        }
+        edit = draw(st.sampled_from([edit for edit in EDITS if targets[edit]]))
+        *parents, key = draw(st.sampled_from(targets[edit]))
+        parent = get_path(box, parents)
+        value = parent[key]
+        if edit == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        elif edit == "bound":
+            parent[key] = draw(st.sampled_from(BOUND_VALUES))
+        elif edit == "delete":
+            del value[draw(st.sampled_from(sorted(value)))]
+        elif edit == "add":
+            value[draw(st.sampled_from(["mystery", "kind", "gamma", "T"]))] = 1.0
+        elif edit == "grow":
+            value.append(copy.deepcopy(value[-1]) if value else 0.0)
+        elif edit == "shrink":
+            value.pop()
+        else:
+            parent[key] = value[0] if isinstance(value, list) else [value, 0.0]
+    return box[0]
+
+
+def get_path(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Each edit, with the (path, value) pairs it applies to.  Bounds go on named
+#: fields, where the schema puts them.  Every path has a parent in the box,
+#: so the root itself can be replaced.
+EDITS = {
+    "replace": lambda path, value: True,
+    "bound": lambda path, value: is_number(value) and isinstance(path[-1], str),
+    "delete": lambda path, value: isinstance(value, dict) and bool(value),
+    "add": lambda path, value: isinstance(value, dict),
+    "grow": lambda path, value: isinstance(value, list),
+    "shrink": lambda path, value: isinstance(value, list) and bool(value),
+    "complex-form": lambda path, value: (
+        is_number(value) or isinstance(value, list) and len(value) == 2
+    ),
+}
+
+
+def agree_on_mutated_configs(check):
+    @settings(**{**PROPERTY_SETTINGS, "max_examples": 600})
+    @given(mutated_configs())
+    def agree(config):
+        assert check(config, CONFIG_SCHEMA) == VALIDATOR.is_valid(config)
+
+    agree()
+
+
+#: CONFIG_SCHEMA's alternatives exclude each other, so telling oneOf from
+#: anyOf needs alternatives that overlap.
+OVERLAPPING = {
+    "oneOf": [
+        {"type": "number", "minimum": 0},
+        {"type": "integer", "exclusiveMaximum": 2},
+        {"type": "array", "items": {"type": "number"}, "maxItems": 1},
+        {"type": "array", "minItems": 1},
+    ]
+}
+
+
+def agree_on_overlapping_alternatives(check):
+    validator = jsonschema.Draft202012Validator(OVERLAPPING)
+    values = st.sampled_from(BOUND_VALUES + REPLACEMENTS)
+
+    @settings(**PROPERTY_SETTINGS)
+    @given(st.one_of(values, st.lists(values, max_size=2)))
+    def agree(value):
+        assert check(value, OVERLAPPING) == validator.is_valid(value)
+
+    agree()
+
+
+AGREEMENT_PROPERTIES = {
+    "mutated-configs": agree_on_mutated_configs,
+    "overlapping-alternatives": agree_on_overlapping_alternatives,
+}
+
+
+def test_valid_configs_are_valid():
+    assert all(VALIDATOR.is_valid(config) for config in VALID_CONFIGS)
+    assert {config["command"] for config in VALID_CONFIGS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_PROPERTIES))
+def test_config_check_agrees_with_jsonschema(name):
+    AGREEMENT_PROPERTIES[name](cli._conforms)
+
+
+def mutated_check(function, old, new):
+    """cli._conforms with the text old in function's source replaced by new."""
+    namespace = dict(vars(cli))
+    for name in ("_has_type", "_conforms"):
+        source = inspect.getsource(getattr(cli, name))
+        if name == function:
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        exec(source, namespace)
+    return namespace["_conforms"]
+
+
+#: Plausible slips in the check, each with the property that must catch it.
+MUTANTS = {
+    "bools-as-numbers": (
+        "_has_type",
+        "if isinstance(value, bool):",
+        'if isinstance(value, bool) and name != "number":',
+        "mutated-configs",
+    ),
+    "oneOf-as-anyOf": ("_conforms", "!= 1", "< 1", "overlapping-alternatives"),
+    "exclusiveMinimum-as-minimum": (
+        "_conforms",
+        'value <= schema["exclusiveMinimum"]',
+        'value < schema["exclusiveMinimum"]',
+        "mutated-configs",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_a_slip_in_the_config_check_fails_the_agreement(mutant):
+    function, old, new, prop = MUTANTS[mutant]
+    with pytest.raises(AssertionError):
+        AGREEMENT_PROPERTIES[prop](mutated_check(function, old, new))
 
 
 def test_missing_required_section_is_a_usage_error(tmp_path):

@@ -1,6 +1,7 @@
 """Multi-start pulse optimization, landscape scans, and time sweeps."""
 
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
@@ -434,13 +435,23 @@ def test_naive_cost_gradient_is_the_explicit_jacobian_contraction(drift, ctrl, p
     assert np.linalg.norm(grad - explicit) <= 1e-12 * np.linalg.norm(size)
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     # Only the optimizers need scipy.optimize (about 50 MB resident), so
     # check, robustness, evolve and landscape runs never load it; only
-    # parallel starts need the process pool (about 1.6 MB).
+    # parallel starts need the process pool (about 1.6 MB).  jsonschema
+    # (about 3.5 MB) only words a schema violation, so a valid run never
+    # loads it either.  A fresh process: the test modules import jsonschema.
     src = os.path.dirname(os.path.dirname(os.path.abspath(control.__file__)))
-    lazy = ("scipy.optimize", "concurrent.futures.process", "multiprocessing")
-    probe = f"import sys, steerctl.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    config = tmp_path / "check.json"
+    axes = {"kind": "bloch_axes", "axes": [[1, 0, 0], [0, 0, 1]]}
+    config.write_text(json.dumps({"scenario": {"measurements": axes}}))
+    lazy = ("scipy.optimize", "concurrent.futures.process", "multiprocessing", "jsonschema")
+    probe = (
+        "import sys, steerctl.cli; "
+        f"status = steerctl.cli.run({str(config)!r}, 'check', {str(tmp_path / 'r')!r}); "
+        "assert status == 0; "
+        f"print([m for m in {lazy!r} if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
