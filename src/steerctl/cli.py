@@ -502,6 +502,7 @@ def _cmd_optimize(rc: RunConfig, naive: bool) -> None:
             "iterations_per_start": list(result.iterations_per_start),
             "evaluations_per_start": list(result.evaluations_per_start),
             "descents_per_start": list(result.descents_per_start),
+            "status_per_start": list(result.status_per_start),
         },
     )
     label = "naive-control" if naive else "optimized"
@@ -570,8 +571,9 @@ def run(
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    except (OSError, ValueError) as exc:
-        # ValueError covers invalid JSON, invalid UTF-8 and non-finite numbers.
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON, invalid UTF-8 and non-finite numbers;
+        # RecursionError, nesting deeper than the interpreter's recursion limit.
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     if not _conforms(raw, CONFIG_SCHEMA):

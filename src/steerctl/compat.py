@@ -20,10 +20,29 @@ gradient of the robustness with respect to the effects follows from implicit
 differentiation of C(N_lam(x1), N_lam(x2)) = 0 at the root, through the
 partials of C in the same five scalars.
 
-The root finder brackets the first sign change of C on a 64-point grid,
-locates it by Illinois false position, and returns what bisecting the scan
-bracket gives, reading the sign of C only inside a checked window around the
-located root.
+Two root finders share the lam = 0 check, the check at lam = 1/2 and the
+computed C; _robustness_tuples picks one per pair.
+
+- Unbiased noise (p == 1/2) on two valid effects whose identity
+  coefficients are not both exactly 1: _unbiased_root, Newton along lam
+  with the slope from C's closed form in t = (1 - lam)^2, on a grid of
+  2**-47, about 7 evaluations of C per root.  Amplitude damping's
+  transported pairs are such pairs.
+- Every other pair, biased noise or invalid inputs included: _smallest_root,
+  which brackets the first sign change of C on a 64-point grid, locates it
+  by Illinois false position, and returns what bisecting the scan bracket
+  gives, reading the sign of C only inside a checked window around the
+  located root, about 19 evaluations of C per root.
+
+Unbiased pairs with both identity coefficients exactly 1, which every
+unital drift such as dephasing gives, stay on _smallest_root: their
+robustness has a closed form of its own, 1 - 2/(|a+b| + |a-b|) (P. Busch,
+Phys. Rev. D 33, 2253 (1986)), which is to replace both finders there.  It
+waits for the benchmark to stop keeping each job's output: the benchmark's
+landscape job, where every pair is such a pair, would run more jobs in its
+window and so hold more memory.  Both finders return the midpoint of a
+bracket at most _BISECT_WIDTH wide across a sign change of the same
+computed C, so they agree within about that wherever C changes sign once.
 
 The scan reads every second grid point, and bisecting its two-step bracket
 gives the one-step scan's root bit for bit: on this grid the bracket's
@@ -47,7 +66,7 @@ from .errors import (
     NoiseInsufficientError,
     NotDifferentiableError,
 )
-from .qubit_algebra import FourVector, validate_effect
+from .qubit_algebra import FourVector, _in_effect_cone, validate_effect
 
 #: C(x1, x2) >= -COMPAT_TOL counts as jointly measurable.
 COMPAT_TOL = 1e-12
@@ -66,6 +85,23 @@ _WINDOW = 1e-13
 
 #: Per-step shrink of the width the false-position bracket must keep below.
 _PACE = 0.5**0.5
+
+#: Per-step shrink of the width _unbiased_root's bracket must keep below.
+_NEWTON_PACE = 0.5**0.25
+
+#: _unbiased_root reads C only at multiples of this power of two below
+#: _BISECT_WIDTH, and returns the midpoint of two adjacent ones.
+_NEWTON_GRID = 2.0**-47
+
+#: The doubles in [32, 64) are the multiples of _NEWTON_GRID there, so for
+#: lam in [0, 1/2], (lam + _GRID_SHIFT) - _GRID_SHIFT is lam rounded to the
+#: grid, to nearest with ties to even.
+_GRID_SHIFT = 48.0
+
+#: Steps _unbiased_root takes at most after its two checks: its bracket,
+#: 1/2 wide at first, is at most _NEWTON_PACE**(k - 2) wide after step k,
+#: so one grid step wide by step 2 + 4 * 47.
+_NEWTON_STEPS = 2 + 4 * 47
 
 #: Number of equispaced scan points on [0, 1/2] used to bracket the root.
 _SCAN_POINTS = 64
@@ -221,6 +257,101 @@ def _smallest_root(
     return 0.5 * (lo + hi)
 
 
+def _unbiased_root(a0: float, va: float, b0: float, vb: float, d: float) -> float:
+    """The robustness at p = 1/2 of two valid effects, by Newton along lam.
+
+    The lam = 0 check and the check at the last scan point are
+    _smallest_root's, on the same _c_scalar calls, so 0.0 and
+    NoiseInsufficientError come out where it gives them.  Newton then runs
+    on C along lam from the false-position point of those two values,
+    keeping a bracket [lo, hi] with C(lo) < 0 <= C(hi) from the sign of C
+    at each trial point.  C is c_at of _smallest_root, one _c_scalar call
+    per step, so both finders read the signs of the same computed function.
+
+    Only the slope comes from a closed form.  With alpha = a0 - 1,
+    beta = b0 - 1, k_a = alpha^2 - |a|^2, k_b = beta^2 - |b|^2 and
+    delta = a.b - alpha*beta, unbiased noise scales alpha, beta and both
+    Bloch vectors by u = 1 - lam, so C is a function of t = u^2 alone:
+
+        C(t) = sqrt(P_a(t) P_b(t)) + R(t),
+        P_a(t) = 1 + t (2 k_a - 4 alpha^2) + t^2 k_a^2,  P_b likewise,
+        R(t) = 1 - t (|a|^2 + |b|^2 + alpha^2 + beta^2) + t^2 (2 delta^2 - k_a k_b),
+
+    and dC/dlam = -2u dC/dt.  These sums cancel terms of order 1 where an
+    effect is near 0 or the identity, so as values they would misplace such
+    a root by up to 1e-10; as a slope they only slow the iteration there.
+
+    Each trial point is rounded to a multiple of _NEWTON_GRID, and one that
+    rounds onto an end of the bracket moves to the grid point next to it.
+    A bisection step replaces a Newton step that leaves the bracket, and
+    any step while the bracket is wider than bisecting every fourth step
+    would leave it (_NEWTON_PACE), so the loop ends within _NEWTON_STEPS
+    steps.  It ends when the bracket is one grid step wide, and returns
+    that step's midpoint.  Where the computed C changes sign once along
+    lam, that is the grid step across the sign change, whichever points
+    the values of C led Newton to; so, as with _smallest_root, pairs whose
+    C agrees in sign but not in the last bits, such as mirror images, get
+    the same root.
+    """
+    c_lo = _c_scalar(a0, va, b0, vb, d)
+    if c_lo >= -COMPAT_TOL:
+        return 0.0
+    # c_at(_SCAN_GRID[-1]) of _smallest_root: at p = 1/2 the shift is lam.
+    hi = _SCAN_GRID[-1]
+    u = 1.0 - hi
+    t = u * u
+    c_hi = _c_scalar(u * a0 + hi, t * va, u * b0 + hi, t * vb, t * d)
+    if c_hi < 0.0:
+        raise NoiseInsufficientError(
+            "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
+        )
+    alpha = a0 - 1.0
+    beta = b0 - 1.0
+    alpha2 = alpha * alpha
+    beta2 = beta * beta
+    ka = alpha2 - va
+    kb = beta2 - vb
+    delta = d - alpha * beta
+    pa1 = 2.0 * ka - 4.0 * alpha2
+    pa2 = ka * ka
+    pb1 = 2.0 * kb - 4.0 * beta2
+    pb2 = kb * kb
+    r1 = -(va + vb + alpha2 + beta2)
+    r2 = 2.0 * delta * delta - ka * kb
+    lo = 0.0
+    lam = hi * c_lo / (c_lo - c_hi)  # the false-position point
+    pace = 2.0 * (hi - lo)
+    while True:
+        # On the grid, off both ends of the bracket.
+        lam = (lam + _GRID_SHIFT) - _GRID_SHIFT
+        if lam <= lo:
+            lam = lo + _NEWTON_GRID
+        elif lam >= hi:
+            lam = hi - _NEWTON_GRID
+        u = 1.0 - lam
+        t = u * u
+        c = _c_scalar(u * a0 + lam, t * va, u * b0 + lam, t * vb, t * d)
+        if c < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= _NEWTON_GRID:
+            return lo + 0.5 * _NEWTON_GRID
+        step = math.inf  # a bisection step unless Newton is taken
+        if hi - lo <= pace:
+            pa = 1.0 + t * (pa1 + t * pa2)
+            pb = 1.0 + t * (pb1 + t * pb2)
+            prod = pa * pb
+            if prod > 0.0:
+                dc_dt = ((pa1 + 2.0 * t * pa2) * pb + pa * (pb1 + 2.0 * t * pb2)) / (
+                    2.0 * math.sqrt(prod)
+                ) + (r1 + 2.0 * t * r2)
+                if dc_dt != 0.0:
+                    step = c / (-2.0 * u * dc_dt)
+        lam = lam - step if lo <= lam - step <= hi else 0.5 * (lo + hi)
+        pace *= _NEWTON_PACE
+
+
 def _robustness_tuples(
     x1: tuple[float, float, float, float],
     x2: tuple[float, float, float, float],
@@ -228,12 +359,22 @@ def _robustness_tuples(
 ) -> float:
     """Root finder entry for callers that already hold raw components.
 
-    Python floats keep every operation of the scan and the bisection off
-    numpy's scalar machinery; np.float64 components give the same bits,
-    only slower.
+    Unbiased noise (p == 1/2) on two valid effects (in the cone with no
+    tolerance) whose identity coefficients are not both exactly 1 goes to
+    _unbiased_root; every other pair to _smallest_root.  Python floats keep
+    every operation off numpy's scalar machinery; np.float64 components
+    give the same bits, only slower.
     """
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
-    return _smallest_root(a0, va, b0, vb, d, 0.5 * (1.0 + b))
+    p = 0.5 * (1.0 + b)
+    if (
+        p == 0.5
+        and not (a0 == 1.0 and b0 == 1.0)
+        and _in_effect_cone(x1, 0.0)
+        and _in_effect_cone(x2, 0.0)
+    ):
+        return _unbiased_root(a0, va, b0, vb, d)
+    return _smallest_root(a0, va, b0, vb, d, p)
 
 
 def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:
@@ -264,8 +405,10 @@ def _gradient_at_root(
 
     Implicit differentiation of C(N(x1), N(x2)) = 0 through the partials
     of _c_scalar in the five noisy pair scalars.  Those are formed with the
-    expressions of c_at in _smallest_root, so this differentiates the C the
-    root finder evaluates.  Along lam, a0 and b0 change at the rates
+    expressions of c_at in _smallest_root, which _unbiased_root uses too, so
+    this differentiates the C either root finder evaluates, at whichever
+    root it returned; the closed form in t that gives _unbiased_root its
+    slope plays no part here.  Along lam, a0 and b0 change at the rates
     2p - x1_0 and 2p - x2_0, and |a|^2, |b|^2 and a.b, each u^2 times its
     noiseless value with u = 1 - lam, at -2/u times their own values.
     dI/dx_i is -(dC/dx_i) / (dC/dlam), where dC/dx1 is

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_blocks
+from .lindblad import _MAX_CENTERS, PulseSequence, _count, _propagate_with_vjp, _slot_blocks
 from .steering import SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -102,7 +102,10 @@ class OptimizeResult:
     distance-to-identity, so its best_value is the robustness of that
     distinguished pulse.  The other per-start tuples follow the same order:
     a start's iterations and evaluations (cost-and-gradient calls) sum over
-    its L-BFGS-B descents, and it runs 1 descent plus its plateau redraws.
+    its L-BFGS-B descents, it runs 1 descent plus its plateau redraws, and
+    its status is scipy's L-BFGS-B status of the descent it kept (0
+    converged, 1 iteration or evaluation limit reached, 2 stopped otherwise,
+    such as a failed line search).
     """
 
     best_pulse: PulseSequence
@@ -111,6 +114,7 @@ class OptimizeResult:
     iterations_per_start: tuple[int, ...]
     evaluations_per_start: tuple[int, ...]
     descents_per_start: tuple[int, ...]
+    status_per_start: tuple[int, ...]
     baseline_value: float
 
 
@@ -203,13 +207,14 @@ class _Descent:
     value: float
     iterations: int
     evaluations: int
+    status: int
 
 
 def _descend(fun_and_grad, x0, bounds, max_iters) -> _Descent:
     """Bounded L-BFGS-B minimization from x0 clipped into the box.
 
     The descent keeps _MEMORY correction pairs and reports scipy's counts of
-    iterations and of fun_and_grad calls.
+    iterations and of fun_and_grad calls, and its status.
     """
     # Imported on first use: scipy.optimize adds about 50 MB of resident
     # memory, which commands that never optimize should not carry.
@@ -226,7 +231,11 @@ def _descend(fun_and_grad, x0, bounds, max_iters) -> _Descent:
         options={"maxiter": max_iters, "gtol": _GTOL, "ftol": _FTOL, "maxcor": _MEMORY},
     )
     return _Descent(
-        np.asarray(result.x, dtype=float), float(result.fun), int(result.nit), int(result.nfev)
+        np.asarray(result.x, dtype=float),
+        float(result.fun),
+        int(result.nit),
+        int(result.nfev),
+        int(result.status),
     )
 
 
@@ -251,12 +260,13 @@ def _start_rng(seed: int, index: int) -> np.random.Generator:
 
 def _solve_one_start(
     s: SteeringScenario, cfg: OptimizeConfig, kind: str, index: int
-) -> tuple[np.ndarray, float, int, int, int]:
+) -> tuple[np.ndarray, float, int, int, int, int]:
     """One start of either optimizer.  index -1 is the zero-pulse start.
 
-    Returns (pulse, metric, iterations, evaluations, descents) with metric
-    the steering robustness for the direct optimizer and the
-    distance-to-identity for the naive one; the counts sum over descents.
+    Returns (pulse, metric, iterations, evaluations, descents, status) with
+    metric the steering robustness for the direct optimizer and the
+    distance-to-identity for the naive one; the counts sum over descents,
+    and pulse, metric and status are the kept descent's.
     """
     evaluator = s._evaluator
     dt = cfg.dt
@@ -287,7 +297,7 @@ def _solve_one_start(
         if best.value < 0.0:
             break
     metric = -best.value if kind == "steer" else best.value
-    return best.x, metric, iterations, evaluations, tries + 1
+    return best.x, metric, iterations, evaluations, tries + 1, best.status
 
 
 def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> OptimizeResult:
@@ -306,7 +316,7 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
             outcomes = list(pool.map(solve, indices))
     else:
         outcomes = list(map(solve, indices))
-    pulses, metrics, iterations, evaluations, descents = zip(*outcomes)
+    pulses, metrics, iterations, evaluations, descents, status = zip(*outcomes)
     if kind == "steer":
         start_values = metrics
         best_index = int(np.argmax(metrics))
@@ -320,6 +330,7 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
         iterations_per_start=iterations,
         evaluations_per_start=evaluations,
         descents_per_start=descents,
+        status_per_start=status,
         baseline_value=float(baseline),
     )
 
@@ -373,10 +384,15 @@ def landscape(
 
     # The drift window is a zero-amplitude slot of length t_drift.
     drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :, :4]
-    # Both axes' distinct amplitudes in one call, so a center they share is
-    # built once; each axis keeps its indices into the one stack.
+    # Both axes' distinct amplitudes in one stack, so a center they share is
+    # built once; each axis keeps its indices into it.  Only the E halves
+    # are kept, served a slice of at most _MAX_CENTERS amplitudes at a time,
+    # so no [E | F] stack of a whole axis is held.
     amps, where = np.unique(np.concatenate([c1s, c2s]), return_inverse=True)
-    slots = _slot_blocks(l0, k, dt, amps)[..., :4]
+    slots = np.empty((amps.size, 4, 4))
+    for start in range(0, amps.size, _MAX_CENTERS):
+        part = amps[start : start + _MAX_CENTERS]
+        slots[start : start + part.size] = _slot_blocks(l0, k, dt, part)[..., :4]
     rows, cols = where[: c1s.size].tolist(), where[c1s.size :].tolist()
     values = np.empty((c1s.size, c2s.size))
     for i, row in enumerate(rows):

@@ -127,6 +127,18 @@ def test_optimize_command_and_seed_override(tmp_path):
     assert third["start_values"] != first["start_values"]
 
 
+def test_optimize_json_reports_each_starts_lbfgsb_status(tmp_path):
+    block = {"T": 1.0, "m": 4, "n_starts": 2, "seed": 0, "max_iters": 1}
+    config = write_config(tmp_path, {"scenario": AD_SCENARIO, "optimize": block})
+    assert run_cli("optimize", config, tmp_path / "capped") == 0
+    payload = json.loads((tmp_path / "capped.json").read_text())
+    # scipy's status 1: each random start's descent stopped at its iteration
+    # limit.  The zero start meets the gradient tolerance before its first
+    # iteration, so it reports convergence (status 0).
+    assert payload["status_per_start"] == [0, 1, 1]
+    assert payload["iterations_per_start"] == [0, 1, 1]
+
+
 @pytest.mark.parametrize("config_seed, flag", [(-1, []), (0, ["--seed", "-1"])])
 def test_negative_seed_is_a_usage_error_before_any_run(
     tmp_path, monkeypatch, capsys, config_seed, flag
@@ -405,6 +417,12 @@ UNREADABLE_CONFIGS["c1-max-1e400"] = (
     UNREADABLE_CONFIGS["c1-max"][1].replace(b"Infinity", b"1e400"),
 )
 UNREADABLE_CONFIGS["non-utf8"] = ("check", b'{"scenario": {"measurements": "\xff"}}')
+# nested far deeper than the recursion limit: the JSON decoder raises
+# RecursionError
+UNREADABLE_CONFIGS["nested-100000-deep"] = (
+    "check",
+    b'{"scenario": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+)
 
 
 @pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))

@@ -1,7 +1,9 @@
 """Pair functional, joint-measurability decision, and the noise monotone."""
 
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +39,9 @@ from steerctl import compat
 from steerctl.compat import (
     _BISECT_WIDTH,
     _DEGENERATE_TOL,
+    _NEWTON_GRID,
+    _NEWTON_PACE,
+    _NEWTON_STEPS,
     _RADICAND_TOL,
     _SCAN_POINTS,
     _UNSHARP_TOL,
@@ -49,9 +54,10 @@ from steerctl.errors import (
     InvalidEffectError,
     NoiseInsufficientError,
 )
+from steerctl.qubit_algebra import _in_effect_cone
 
-# The root finder and the implicit gradient make no BLAS call, so every
-# test here must pass on any BLAS kernel.
+# Both root finders and the implicit gradient make no BLAS call, so every
+# test here, the Newton root's included, must pass on any BLAS kernel.
 pytestmark = pytest.mark.blas_kernel_independent
 
 X = sharp_effect([1.0, 0.0, 0.0])
@@ -323,12 +329,40 @@ raw_components = st.tuples(
 )
 
 
+def on_newton_domain(x1, x2, b):
+    """True iff _robustness_tuples sends the pair to _unbiased_root."""
+    return (
+        0.5 * (1.0 + b) == 0.5
+        and not (x1[0] == 1.0 and x2[0] == 1.0)
+        and _in_effect_cone(tuple(x1), 0.0)
+        and _in_effect_cone(tuple(x2), 0.0)
+    )
+
+
+def assert_same_root_or_within_root_tol(got, old, newton):
+    """Outcomes as from outcome(): equal, or on the Newton domain equal up to ROOT_TOL.
+
+    The Newton root reads the sign of the same computed C as the bisection,
+    but takes other points, so its root is another point of the same
+    bracket: 0.0 and the error types come out alike, roots within ROOT_TOL.
+    """
+    if newton and isinstance(got, str) and isinstance(old, str):
+        got, old = float.fromhex(got), float.fromhex(old)
+        assert (got == 0.0) == (old == 0.0)
+        assert abs(got - old) <= ROOT_TOL
+    else:
+        assert got == old
+
+
 def assert_roots_agree(x1, x2, b):
-    """Python floats, numpy scalars and the old path give the same outcome."""
+    """Python floats and numpy scalars give the same bits, and the old path
+    gives them too off the Newton domain; on it, the same outcome within
+    ROOT_TOL."""
     as_np = lambda x: tuple(np.float64(v) for v in x)
     old = outcome(old_root, as_np(x1), as_np(x2), np.float64(b))
-    assert outcome(compat._robustness_tuples, x1, x2, b) == old
-    assert outcome(compat._robustness_tuples, as_np(x1), as_np(x2), np.float64(b)) == old
+    got = outcome(compat._robustness_tuples, x1, x2, b)
+    assert outcome(compat._robustness_tuples, as_np(x1), as_np(x2), np.float64(b)) == got
+    assert_same_root_or_within_root_tol(got, old, on_newton_domain(x1, x2, b))
 
 
 @settings(**PROPERTY_SETTINGS)
@@ -339,7 +373,7 @@ def assert_roots_agree(x1, x2, b):
 )
 def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
     # Zeroing Bloch components keeps an effect valid; only incompatible
-    # pairs reach the scan and the bisection.
+    # pairs reach the scan and the bisection, or at b = 0 Newton.
     assume(compat._robustness_tuples(x1, x2, b) > 0.0)
     assert_roots_agree(x1, x2, b)
 
@@ -348,7 +382,8 @@ def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
 @given(x1=raw_components, x2=raw_components, b=st.floats(-0.9, 0.9))
 def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
     # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
-    # every path alike; compatible ones return 0.0 alike.
+    # every path alike; compatible ones return 0.0 alike.  Invalid inputs
+    # never reach Newton, which needs both effects in the cone.
     assert_roots_agree(x1, x2, b)
 
 
@@ -456,11 +491,14 @@ def nonzero_root_inputs(monkeypatch, run):
 @pytest.mark.parametrize("workload", ["landscape-dp", "optimize-ad"])
 def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
     # The benchmark's scenarios on a coarser grid and with fewer starts.
+    # Under unbiased noise every optimize-ad pair takes the Newton root, so
+    # that scenario runs with bias 0.25 here, as the robustness_ad golden.
     if workload == "landscape-dp":
         axis = np.arange(-15.0, 15.0 + 1e-9, 0.5)
         run = lambda: landscape(xz_scenario("dp"), 2.6, 2.8, axis, axis)
     else:
-        run = lambda: optimize(xz_scenario("ad"), OptimizeConfig(T=2.8, m=20, n_starts=4, seed=0))
+        biased = replace(xz_scenario("ad"), b=0.25)
+        run = lambda: optimize(biased, OptimizeConfig(T=2.8, m=20, n_starts=4, seed=0))
     roots = nonzero_root_inputs(monkeypatch, run)
     calls = [0]
 
@@ -487,7 +525,7 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
         old_total += calls[0]
     assert len(roots) > 300
     # Measured: 19.20 against 51.21 calls per root on the landscape (ratio
-    # 0.375), 16.44 against 45.33 in the optimizer (0.363).
+    # 0.375), 16.56 against 45.30 in the biased optimizer (0.366, 384 roots).
     assert new_total <= {"landscape-dp": 0.41, "optimize-ad": 0.40}[workload] * old_total
 
 
@@ -516,6 +554,204 @@ def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
     assert new.hex() == old_root(x1, x2, b).hex()
     assert abs(new - 0.2) <= ROOT_TOL
     assert new_calls - len(calls) <= 85 - BISECT_STEPS
+
+
+# --- Newton under unbiased noise --------------------------------------------
+# At b = 0, pairs of valid effects whose identity coefficients are not both
+# exactly 1 take _unbiased_root.  It reads the sign of the same computed C
+# as the bisection, so its root is another point of the same bracket.
+
+
+def newton_effect(x0, theta, phi, fraction):
+    """(x0, r n) with r = fraction * min(x0, 2 - x0), pulled inside the cone by an ulp if needed."""
+    r = fraction * min(x0, 2.0 - x0)
+    rs = r * math.sin(theta)
+    x = (x0, rs * math.cos(phi), rs * math.sin(phi), r * math.cos(theta))
+    while not _in_effect_cone(x, 0.0):
+        x = (x0, *(c * (1.0 - 2.0**-52) for c in x[1:]))
+    return x
+
+
+#: Identity coefficients mostly in [1/2, 3/2], also 1, near 0 or 2, or
+#: anywhere in [0, 2];
+#: Bloch fractions sharp, within 1e-15 to 1e-3 of sharp, or shrunk by at
+#: most half, so that most pairs are incompatible.
+newton_effects = st.builds(
+    newton_effect,
+    st.one_of(
+        st.floats(0.5, 1.5),
+        st.sampled_from([1.0, 1e-6, 1e-3, 2.0 - 1e-3, 2.0 - 1e-6]),
+        st.floats(0.0, 2.0),
+    ),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.one_of(
+        st.just(1.0),
+        st.builds(lambda k: 1.0 - 10.0**-k, st.floats(3.0, 15.0)),
+        st.floats(0.5, 1.0),
+    ),
+)
+
+
+def newton_outcome(x1, x2):
+    """outcome() of _robustness_tuples at b = 0, and the _c_scalar calls it made.
+
+    Fails if a pair on the Newton domain reaches _smallest_root.
+    """
+    calls = []
+    real = compat._c_scalar
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refused(*args):
+        raise AssertionError("a pair on the Newton domain reached _smallest_root")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compat, "_c_scalar", counted)
+        if on_newton_domain(x1, x2, 0.0):
+            m.setattr(compat, "_smallest_root", refused)
+        got = outcome(compat._robustness_tuples, x1, x2, 0.0)
+    return got, len(calls)
+
+
+@settings(**{**PROPERTY_SETTINGS, "max_examples": 300})
+@given(x1=newton_effects, x2=newton_effects)
+@example(x1=(1e-5, 1e-5, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 1.0))  # a weak and a sharp effect
+@example(x1=(1.2, 0.8, 0.0, 0.0), x2=(0.8, 0.0, 0.0, 0.8))  # two sharp biased effects
+def test_unbiased_root_is_the_general_root_within_root_tol(x1, x2):
+    got, calls = newton_outcome(x1, x2)
+    general = outcome(compat._smallest_root, *compat._pair_scalars(x1, x2), 0.5)
+    newton = on_newton_domain(x1, x2, 0.0)
+    assert_same_root_or_within_root_tol(got, general, newton)
+    if isinstance(got, str):
+        root = float.fromhex(got)
+        assert 0.0 <= root < 0.5
+        if newton and root > 0.0:
+            # The midpoint of a grid step across the sign change.
+            assert root / _NEWTON_GRID % 1.0 == 0.5
+    if newton:
+        # The two checks, then at most _NEWTON_STEPS steps of one call each.
+        assert calls <= 2 + _NEWTON_STEPS
+
+
+def test_unbiased_root_on_a_seeded_sweep():
+    # Valid effects with identity coefficients in [0, 2], a tenth of them
+    # within 1e-12 to 1e-1 of 0 or 2, each sharp, near-sharp or shrunk.
+    # Measured: 1 222 nonzero roots in 8 000 pairs, at most 7.3e-15 from the
+    # bisection oracle, 7.2 C evaluations per root on average (6 to 18),
+    # where the oracle takes about 45.
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    evaluations = []
+    for _ in range(8_000):
+        pair = []
+        for _ in range(2):
+            x0 = float(rng.uniform(0.0, 2.0))
+            if rng.uniform() < 0.1:
+                x0 = float(10.0 ** rng.uniform(-12.0, -1.0))
+                x0 = 2.0 - x0 if rng.integers(2) else x0
+            theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+            near_sharp = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+            fraction = (1.0, near_sharp, rng.uniform(0.0, 1.0))[rng.integers(3)]
+            pair.append(newton_effect(x0, theta, phi, float(fraction)))
+        x1, x2 = pair
+        got, calls = newton_outcome(x1, x2)
+        old = outcome(old_root, x1, x2, 0.0)
+        assert_same_root_or_within_root_tol(got, old, on_newton_domain(x1, x2, 0.0))
+        if isinstance(got, str) and float.fromhex(got) > 0.0:
+            worst = max(worst, abs(float.fromhex(got) - float.fromhex(old)))
+            evaluations.append(calls)
+    assert len(evaluations) > 1_000
+    assert worst <= 1e-13
+    # A Newton step that went wrong every time would leave the loop to its
+    # bisection steps, about 50 evaluations per root.
+    assert np.mean(evaluations) <= 8.0 and max(evaluations) <= 25
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("complemented", [False, True], ids=["weak", "complement"])
+def test_root_of_a_weak_and_a_sharp_effect_is_accurate(eps, complemented):
+    # eps times the x projector, or one minus it, against the z projector:
+    # C's closed form in t = (1 - lam)^2 cancels terms of order 1 here and
+    # placed these roots up to 2.6e-11 off; as the slope only, it does not.
+    x0 = 2.0 - eps if complemented else eps
+    x1 = (x0, min(x0, 2.0 - x0) * (-1.0 if complemented else 1.0), 0.0, 0.0)
+    x2 = (1.0, 0.0, 0.0, 1.0)
+    assert on_newton_domain(x1, x2, 0.0)
+    got = compat._robustness_tuples(x1, x2, 0.0)
+    mpmath.mp.dps = 40
+
+    def c_40_digits(lam):
+        y = [[(1 - lam) * mpmath.mpf(v) for v in x] for x in (x1, x2)]
+        y[0][0] += lam
+        y[1][0] += lam
+        return _c_scalar(*compat._pair_scalars(*y))
+
+    reference = mpmath.findroot(c_40_digits, mpmath.mpf(got))
+    assert 0.0 < got < 0.5
+    assert abs(got - reference) <= 1e-14
+
+
+def test_newton_pace_rule_bounds_a_stalled_iteration(monkeypatch):
+    # The double reports C = -1 below lam = 0.2 and 1e-300 above it, so a
+    # Newton step from above moves only one grid step, and one from below
+    # jumps out of the bracket.  The pace rule still ends the
+    # loop within _NEWTON_STEPS steps: the bracket, 1/2 wide, must keep
+    # below _NEWTON_PACE**(k - 2) after step k, and the loop ends when it
+    # is one grid step wide.
+    assert _NEWTON_PACE ** (_NEWTON_STEPS - 2) <= _NEWTON_GRID < _BISECT_WIDTH
+    x1, x2 = (0.5, 0.4, 0.0, 0.0), (0.5, 0.0, 0.0, 0.4)
+    lams = []
+
+    def step(a0, va, b0, vb, d):
+        # The noisy identity coefficient of x1 is 0.5 + lam / 2.
+        lam = 2.0 * a0 - 1.0
+        lams.append(lam)
+        return -1.0 if lam < 0.2 else 1e-300
+
+    monkeypatch.setattr(compat, "_c_scalar", step)
+    root = compat._robustness_tuples(x1, x2, 0.0)
+    assert abs(root - 0.2) <= ROOT_TOL
+    # Measured: 173 calls.  Without the pace rule the grid steps from above
+    # would take about 4e13.
+    assert len(lams) <= 2 + _NEWTON_STEPS
+
+
+def test_pairs_outside_the_cone_keep_the_general_root_under_unbiased_noise():
+    # Invalid pairs with a root: Newton would give the first one
+    # NoiseInsufficientError, where the general root finder finds 0.0052,
+    # and the second one other bits.
+    pairs = [
+        (
+            (-0.7820183358281856, -1.1452569121990734, -0.023149802120391083, 0.5556291534624869),
+            (0.30043806042523435, -0.16839372868806946, -1.6423015204821017, 0.07612212996971346),
+        ),
+        (
+            (-1.1272395927344099, 1.553884898871725, -0.6957449140559748, 1.1420980162184273),
+            (-1.268483008796923, 1.2139399735262995, -0.20143046730239655, 0.708241865290927),
+        ),
+    ]
+    for x1, x2 in pairs:
+        assert not on_newton_domain(x1, x2, 0.0)
+        old = outcome(old_root, x1, x2, 0.0)
+        assert float.fromhex(old) > 0.0
+        assert outcome(compat._robustness_tuples, x1, x2, 0.0) == old
+
+
+def test_unbiased_root_raises_where_c_stays_negative(monkeypatch):
+    # No pair of valid effects stays incompatible at lam = 1/2 under
+    # unbiased noise, so a double reports C = -1 everywhere; the check at
+    # the last scan point raises as the general root finder's scan does.
+    x1, x2 = (0.5, 0.4, 0.0, 0.0), (0.5, 0.0, 0.0, 0.4)
+    negative = lambda *args: -1.0
+    monkeypatch.setattr(compat, "_c_scalar", negative)
+    monkeypatch.setitem(globals(), "_c_scalar", negative)
+    assert on_newton_domain(x1, x2, 0.0)
+    with pytest.raises(NoiseInsufficientError):
+        compat._robustness_tuples(x1, x2, 0.0)
+    assert outcome(old_root, x1, x2, 0.0) is NoiseInsufficientError
 
 
 def test_root_near_unit_bias_is_the_oracles():
