@@ -20,36 +20,42 @@ gradient of the robustness with respect to the effects follows from implicit
 differentiation of C(N_lam(x1), N_lam(x2)) = 0 at the root, through the
 partials of C in the same five scalars.
 
-Two root finders share the lam = 0 check, the check at lam = 1/2 and the
-computed C; _robustness_tuples picks one per pair.
+Two root finders share the lam = 0 check, the check at lam = 1/2, the
+computed C and one loop, Illinois false position with trial points on a
+grid of 2**-47 (_false_position); _robustness_tuples picks one per pair.
 
-- Unbiased noise (p == 1/2) on two valid effects whose identity
-  coefficients are not both exactly 1: _unbiased_root, Newton along lam
-  with the slope from C's closed form in t = (1 - lam)^2, on a grid of
-  2**-47, about 7 evaluations of C per root.  Amplitude damping's
-  transported pairs are such pairs.
-- Every other pair, biased noise or invalid inputs included: _smallest_root,
-  which brackets the first sign change of C on a 64-point grid, locates it
-  by Illinois false position, and returns what bisecting the scan bracket
-  gives, reading the sign of C only inside a checked window around the
-  located root, about 19 evaluations of C per root.
+- Two valid effects, unless the noise is unbiased (p == 1/2) and both
+  identity coefficients are exactly 1: _grid_root, which runs the loop on
+  [0, 1/2] down to one grid step and returns that step's midpoint, about
+  10 evaluations of C per root.  Amplitude damping's transported pairs,
+  under any bias, are such pairs.
+- Unbiased pairs with both identity coefficients exactly 1, and inputs
+  outside the cone: _smallest_root, which brackets the first sign change
+  of C on a 64-point grid, runs the loop on that bracket, and returns what
+  bisecting the scan bracket gives, reading the sign of C only inside a
+  checked window around the located root, about 19 evaluations of C per
+  root.
 
-Unbiased pairs with both identity coefficients exactly 1, which every
-unital drift such as dephasing gives, stay on _smallest_root: their
-robustness has a closed form of its own, 1 - 2/(|a+b| + |a-b|) (P. Busch,
-Phys. Rev. D 33, 2253 (1986)), which is to replace both finders there.  It
-waits for the benchmark to stop keeping each job's output: the benchmark's
-landscape job, where every pair is such a pair, would run more jobs in its
-window and so hold more memory.  Both finders return the midpoint of a
-bracket at most _BISECT_WIDTH wide across a sign change of the same
-computed C, so they agree within about that wherever C changes sign once.
+The pairs left to _smallest_root are every pair of a unital drift such as
+dephasing.  Their robustness has a closed form of its own,
+1 - 2/(|a+b| + |a-b|) (P. Busch, Phys. Rev. D 33, 2253 (1986)), which is to
+replace the root finder there.  It waits for the benchmark to stop keeping
+each job's output: the benchmark's landscape job, where every pair is such
+a pair, would run more jobs in its window and so hold more memory.  Both
+finders return the midpoint of a bracket at most _BISECT_WIDTH wide across
+a sign change of the same computed C, so they agree within about that
+wherever C changes sign once.
 
-The scan reads every second grid point, and bisecting its two-step bracket
-gives the one-step scan's root bit for bit: on this grid the bracket's
-midpoint is the skipped grid point exactly, and C changes sign only once
-along lam.  Noise composes as N_mu o N_lam = N_{lam+mu-lam*mu}, and
-post-processing a jointly measurable pair keeps it jointly measurable, so
-compatibility at lam implies it at every larger weight.
+Noise composes as N_mu o N_lam = N_{lam+mu-lam*mu}, and post-processing a
+jointly measurable pair keeps it jointly measurable, so compatibility at
+lam implies it at every larger weight: C changes sign once along lam.  So
+the grid root is the grid step across that sign change, whichever points
+the values of C led false position to, and _smallest_root's scan may read
+every second grid point: bisecting its two-step bracket gives the one-step
+scan's root bit for bit, since on this grid the bracket's midpoint is the
+skipped grid point exactly.  Both finders decide by signs of C alone, never
+by its values, so pairs whose C agrees in sign but not in the last bits,
+such as mirror images, get the same root.
 
 The root finder and the gradient both run on Python floats in a fixed
 order, with no BLAS call, so their bits do not depend on the host's BLAS
@@ -59,6 +65,7 @@ kernel.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .errors import (
     DegenerateRootError,
@@ -66,7 +73,7 @@ from .errors import (
     NoiseInsufficientError,
     NotDifferentiableError,
 )
-from .qubit_algebra import FourVector, _in_effect_cone, validate_effect
+from .qubit_algebra import FourVector, validate_effect
 
 #: C(x1, x2) >= -COMPAT_TOL counts as jointly measurable.
 COMPAT_TOL = 1e-12
@@ -86,22 +93,19 @@ _WINDOW = 1e-13
 #: Per-step shrink of the width the false-position bracket must keep below.
 _PACE = 0.5**0.5
 
-#: Per-step shrink of the width _unbiased_root's bracket must keep below.
-_NEWTON_PACE = 0.5**0.25
+#: False position rounds its trial points to multiples of this power of two
+#: below _BISECT_WIDTH; _grid_root returns the midpoint of two adjacent ones.
+_GRID = 2.0**-47
 
-#: _unbiased_root reads C only at multiples of this power of two below
-#: _BISECT_WIDTH, and returns the midpoint of two adjacent ones.
-_NEWTON_GRID = 2.0**-47
-
-#: The doubles in [32, 64) are the multiples of _NEWTON_GRID there, so for
-#: lam in [0, 1/2], (lam + _GRID_SHIFT) - _GRID_SHIFT is lam rounded to the
-#: grid, to nearest with ties to even.
+#: The doubles in [32, 64) are the multiples of _GRID there, so for lam in
+#: [0, 1/2], (lam + _GRID_SHIFT) - _GRID_SHIFT is lam rounded to the grid,
+#: to nearest with ties to even.
 _GRID_SHIFT = 48.0
 
-#: Steps _unbiased_root takes at most after its two checks: its bracket,
-#: 1/2 wide at first, is at most _NEWTON_PACE**(k - 2) wide after step k,
-#: so one grid step wide by step 2 + 4 * 47.
-_NEWTON_STEPS = 2 + 4 * 47
+#: Steps _grid_root's false position takes at most: its bracket, 1/2 wide
+#: at first, is a multiple of _GRID and at most _PACE**k + _GRID wide after
+#: step k = 0, 1, ..., so one grid step wide once _PACE**k < _GRID.
+_GRID_STEPS = 2 + round(math.log(_GRID, _PACE))
 
 #: Number of equispaced scan points on [0, 1/2] used to bracket the root.
 _SCAN_POINTS = 64
@@ -134,6 +138,12 @@ def _pair_scalars(
     return a0, va, b0, vb, d
 
 
+def _in_cone(x0: float, v: float) -> bool:
+    """qubit_algebra._in_effect_cone with no tolerance, on x0 and |x|^2 = v."""
+    t0 = 2.0 - x0
+    return x0 >= 0.0 and t0 >= 0.0 and x0 * x0 - v >= 0.0 and t0 * t0 - v >= 0.0
+
+
 def _c_scalar(a0: float, va: float, b0: float, vb: float, d: float) -> float:
     """C from the five pair scalars.  Raises on a radicand below -1e-12."""
     ta = 2.0 - a0
@@ -163,35 +173,15 @@ def is_jointly_measurable(x1: FourVector, x2: FourVector) -> bool:
     return c_functional(x1, x2) >= -COMPAT_TOL
 
 
-def _smallest_root(
+def _along_noise(
     a0: float, va: float, b0: float, vb: float, d: float, p: float
-) -> float:
-    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
+) -> Callable[[float], float]:
+    """C at noise weight lam for the pair with these five scalars, bias p.
 
     Noise at weight lam maps the five scalars to
     (u*a0 + 2*lam*p, u^2*|a|^2, u*b0 + 2*lam*p, u^2*|b|^2, u^2*a.b) with
     u = 1 - lam, so each lam costs one call of _c_scalar.
-
-    After the lam = 0 check, a scan of the 64-point grid brackets the first
-    sign change of C.  It reads grid points 2, 4, ..., 62 and 63 and stops
-    at the first one with C >= 0.  The first midpoint of that bracket is the
-    skipped grid point, so bisecting it goes on as bisecting the one-step
-    bracket a scan of every point would pick: C >= 0 is upward-closed in
-    lam (see the module docstring).  Illinois false position then narrows
-    the scan bracket below _WINDOW, and C is checked to be negative at
-    _WINDOW below its midpoint and nonnegative at _WINDOW above it; if not,
-    the window is the whole scan bracket.  Last, the scan bracket is
-    bisected to _BISECT_WIDTH, reading the sign of C only at midpoints
-    strictly inside the window: below it C counts as negative, above it as
-    nonnegative.  So the result is the plain bisection's, bit for bit,
-    unless C changes sign in the scan bracket outside the window, where the
-    plain bisection's root would be arbitrary anyway.  Only signs of C
-    decide it, never values, so pairs whose C agrees in sign but not in the
-    last bits, such as mirror images, get the same root.
     """
-    c_lo = _c_scalar(a0, va, b0, vb, d)
-    if c_lo >= -COMPAT_TOL:
-        return 0.0
 
     def c_at(lam: float) -> float:
         u = 1.0 - lam
@@ -199,6 +189,93 @@ def _smallest_root(
         u2 = u * u
         return _c_scalar(u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d)
 
+    return c_at
+
+
+def _false_position(
+    c_at: Callable[[float], float], lo: float, c_lo: float, hi: float, c_hi: float, width: float
+) -> tuple[float, float]:
+    """Narrow [lo, hi], c_at(lo) = c_lo < 0 <= c_hi = c_at(hi), to at most width.
+
+    Illinois false position (M. Dowell and P. Jarratt, BIT 11, 168
+    (1971)), reading c_at once per step.  Each trial point is rounded to a
+    multiple of _GRID, and one that rounds onto or past an end of the
+    bracket moves _GRID inside it.  A bisection step replaces false position
+    whenever the bracket is wider than bisecting every second step would
+    leave it (_PACE), so after step k = 0, 1, ... the bracket is at most
+    twice its first width times _PACE**k, plus _GRID: on a scan bracket the
+    loop ends within 78 steps at _WINDOW, under twice the bisection's 41.
+    """
+    pace = 2.0 * (hi - lo)
+    moved = 0  # +1 after lo moved, -1 after hi moved
+    while hi - lo > width:
+        if hi - lo > pace:
+            lam = 0.5 * (lo + hi)
+        else:
+            lam = (lo * c_hi - hi * c_lo) / (c_hi - c_lo)
+        pace *= _PACE
+        lam = (lam + _GRID_SHIFT) - _GRID_SHIFT
+        if lam <= lo:
+            lam = lo + _GRID
+        elif lam >= hi:
+            lam = hi - _GRID
+        c = c_at(lam)
+        if c < 0.0:
+            lo, c_lo = lam, c
+            if moved > 0:
+                c_hi *= 0.5
+            moved = 1
+        else:
+            hi, c_hi = lam, c
+            if moved < 0:
+                c_lo *= 0.5
+            moved = -1
+    return lo, hi
+
+
+def _grid_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
+    """Smallest lam in (0, 1/2] with C = 0 for two valid effects, or 0.0.
+
+    After _smallest_root's lam = 0 check and the check at lam = 1/2, on the
+    same _c_scalar calls, so 0.0 and NoiseInsufficientError come out where
+    it gives them, _false_position narrows [0, 1/2] to one grid step; its
+    midpoint is the root.  Every trial point is a grid point, so the loop
+    ends within _GRID_STEPS steps, on the grid step across the sign change
+    of the computed C.
+    """
+    c_lo = _c_scalar(a0, va, b0, vb, d)
+    if c_lo >= -COMPAT_TOL:
+        return 0.0
+    c_at = _along_noise(a0, va, b0, vb, d, p)
+    c_hi = c_at(0.5)
+    if c_hi < 0.0:
+        raise NoiseInsufficientError(
+            "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
+        )
+    lo, hi = _false_position(c_at, 0.0, c_lo, 0.5, c_hi, _GRID)
+    return 0.5 * (lo + hi)
+
+
+def _smallest_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
+    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
+
+    After the lam = 0 check, a scan of the 64-point grid brackets the first
+    sign change of C.  It reads grid points 2, 4, ..., 62 and 63 and stops
+    at the first one with C >= 0 (see the module docstring).
+    _false_position then narrows the scan bracket to _WINDOW, and C is
+    checked to be negative at _WINDOW below its midpoint and nonnegative at
+    _WINDOW above it; if not, the window is the whole scan bracket.  Last,
+    the scan bracket is bisected to _BISECT_WIDTH, reading the sign of C
+    only at midpoints strictly inside the window: below it C counts as
+    negative, above it as nonnegative.  So the result is the plain
+    bisection's, bit for bit, unless C changes sign in the scan bracket
+    outside the window, where the plain bisection's root would be arbitrary
+    anyway.
+    """
+    c_lo = _c_scalar(a0, va, b0, vb, d)
+    if c_lo >= -COMPAT_TOL:
+        return 0.0
+    c_at = _along_noise(a0, va, b0, vb, d, p)
     lo = 0.0
     hi = None
     # Scan upward two grid steps at a time.
@@ -214,30 +291,7 @@ def _smallest_root(
             "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
         )
     scan_lo, scan_hi = lo, hi
-    # Locate by Illinois false position.  Each iterate stays half a bisection
-    # width inside the bracket, and a bisection step replaces it whenever
-    # the bracket is wider than bisecting every second step would leave it,
-    # which caps the locate at 78 steps, under twice the bisection's 41.
-    pace = 2.0 * (hi - lo)
-    moved = 0  # +1 after lo moved, -1 after hi moved
-    while hi - lo >= _WINDOW:
-        if hi - lo > pace:
-            lam = 0.5 * (lo + hi)
-        else:
-            lam = (lo * c_hi - hi * c_lo) / (c_hi - c_lo)
-            lam = min(max(lam, lo + 0.5 * _BISECT_WIDTH), hi - 0.5 * _BISECT_WIDTH)
-        pace *= _PACE
-        c = c_at(lam)
-        if c < 0.0:
-            lo, c_lo = lam, c
-            if moved > 0:
-                c_hi *= 0.5
-            moved = 1
-        else:
-            hi, c_hi = lam, c
-            if moved < 0:
-                c_lo *= 0.5
-            moved = -1
+    lo, hi = _false_position(c_at, lo, c_lo, hi, c_hi, _WINDOW)
     # Check the window; the signs at the scan ends are already known.
     r = 0.5 * (lo + hi)
     w_lo = max(scan_lo, r - _WINDOW)
@@ -257,101 +311,6 @@ def _smallest_root(
     return 0.5 * (lo + hi)
 
 
-def _unbiased_root(a0: float, va: float, b0: float, vb: float, d: float) -> float:
-    """The robustness at p = 1/2 of two valid effects, by Newton along lam.
-
-    The lam = 0 check and the check at the last scan point are
-    _smallest_root's, on the same _c_scalar calls, so 0.0 and
-    NoiseInsufficientError come out where it gives them.  Newton then runs
-    on C along lam from the false-position point of those two values,
-    keeping a bracket [lo, hi] with C(lo) < 0 <= C(hi) from the sign of C
-    at each trial point.  C is c_at of _smallest_root, one _c_scalar call
-    per step, so both finders read the signs of the same computed function.
-
-    Only the slope comes from a closed form.  With alpha = a0 - 1,
-    beta = b0 - 1, k_a = alpha^2 - |a|^2, k_b = beta^2 - |b|^2 and
-    delta = a.b - alpha*beta, unbiased noise scales alpha, beta and both
-    Bloch vectors by u = 1 - lam, so C is a function of t = u^2 alone:
-
-        C(t) = sqrt(P_a(t) P_b(t)) + R(t),
-        P_a(t) = 1 + t (2 k_a - 4 alpha^2) + t^2 k_a^2,  P_b likewise,
-        R(t) = 1 - t (|a|^2 + |b|^2 + alpha^2 + beta^2) + t^2 (2 delta^2 - k_a k_b),
-
-    and dC/dlam = -2u dC/dt.  These sums cancel terms of order 1 where an
-    effect is near 0 or the identity, so as values they would misplace such
-    a root by up to 1e-10; as a slope they only slow the iteration there.
-
-    Each trial point is rounded to a multiple of _NEWTON_GRID, and one that
-    rounds onto an end of the bracket moves to the grid point next to it.
-    A bisection step replaces a Newton step that leaves the bracket, and
-    any step while the bracket is wider than bisecting every fourth step
-    would leave it (_NEWTON_PACE), so the loop ends within _NEWTON_STEPS
-    steps.  It ends when the bracket is one grid step wide, and returns
-    that step's midpoint.  Where the computed C changes sign once along
-    lam, that is the grid step across the sign change, whichever points
-    the values of C led Newton to; so, as with _smallest_root, pairs whose
-    C agrees in sign but not in the last bits, such as mirror images, get
-    the same root.
-    """
-    c_lo = _c_scalar(a0, va, b0, vb, d)
-    if c_lo >= -COMPAT_TOL:
-        return 0.0
-    # c_at(_SCAN_GRID[-1]) of _smallest_root: at p = 1/2 the shift is lam.
-    hi = _SCAN_GRID[-1]
-    u = 1.0 - hi
-    t = u * u
-    c_hi = _c_scalar(u * a0 + hi, t * va, u * b0 + hi, t * vb, t * d)
-    if c_hi < 0.0:
-        raise NoiseInsufficientError(
-            "C is still negative at lam = 1/2; classical noise cannot restore compatibility"
-        )
-    alpha = a0 - 1.0
-    beta = b0 - 1.0
-    alpha2 = alpha * alpha
-    beta2 = beta * beta
-    ka = alpha2 - va
-    kb = beta2 - vb
-    delta = d - alpha * beta
-    pa1 = 2.0 * ka - 4.0 * alpha2
-    pa2 = ka * ka
-    pb1 = 2.0 * kb - 4.0 * beta2
-    pb2 = kb * kb
-    r1 = -(va + vb + alpha2 + beta2)
-    r2 = 2.0 * delta * delta - ka * kb
-    lo = 0.0
-    lam = hi * c_lo / (c_lo - c_hi)  # the false-position point
-    pace = 2.0 * (hi - lo)
-    while True:
-        # On the grid, off both ends of the bracket.
-        lam = (lam + _GRID_SHIFT) - _GRID_SHIFT
-        if lam <= lo:
-            lam = lo + _NEWTON_GRID
-        elif lam >= hi:
-            lam = hi - _NEWTON_GRID
-        u = 1.0 - lam
-        t = u * u
-        c = _c_scalar(u * a0 + lam, t * va, u * b0 + lam, t * vb, t * d)
-        if c < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= _NEWTON_GRID:
-            return lo + 0.5 * _NEWTON_GRID
-        step = math.inf  # a bisection step unless Newton is taken
-        if hi - lo <= pace:
-            pa = 1.0 + t * (pa1 + t * pa2)
-            pb = 1.0 + t * (pb1 + t * pb2)
-            prod = pa * pb
-            if prod > 0.0:
-                dc_dt = ((pa1 + 2.0 * t * pa2) * pb + pa * (pb1 + 2.0 * t * pb2)) / (
-                    2.0 * math.sqrt(prod)
-                ) + (r1 + 2.0 * t * r2)
-                if dc_dt != 0.0:
-                    step = c / (-2.0 * u * dc_dt)
-        lam = lam - step if lo <= lam - step <= hi else 0.5 * (lo + hi)
-        pace *= _NEWTON_PACE
-
-
 def _robustness_tuples(
     x1: tuple[float, float, float, float],
     x2: tuple[float, float, float, float],
@@ -359,21 +318,17 @@ def _robustness_tuples(
 ) -> float:
     """Root finder entry for callers that already hold raw components.
 
-    Unbiased noise (p == 1/2) on two valid effects (in the cone with no
-    tolerance) whose identity coefficients are not both exactly 1 goes to
-    _unbiased_root; every other pair to _smallest_root.  Python floats keep
-    every operation off numpy's scalar machinery; np.float64 components
-    give the same bits, only slower.
+    A pair of valid effects (in the cone with no tolerance, tested on the
+    pair scalars as qubit_algebra._in_effect_cone tests raw components)
+    goes to _grid_root, unless the noise is unbiased and both identity
+    coefficients are exactly 1; every other pair to _smallest_root.  Python
+    floats keep every operation off numpy's scalar machinery; np.float64
+    components give the same bits, only slower.
     """
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
     p = 0.5 * (1.0 + b)
-    if (
-        p == 0.5
-        and not (a0 == 1.0 and b0 == 1.0)
-        and _in_effect_cone(x1, 0.0)
-        and _in_effect_cone(x2, 0.0)
-    ):
-        return _unbiased_root(a0, va, b0, vb, d)
+    if not (p == 0.5 and a0 == 1.0 and b0 == 1.0) and _in_cone(a0, va) and _in_cone(b0, vb):
+        return _grid_root(a0, va, b0, vb, d, p)
     return _smallest_root(a0, va, b0, vb, d, p)
 
 
@@ -405,13 +360,11 @@ def _gradient_at_root(
 
     Implicit differentiation of C(N(x1), N(x2)) = 0 through the partials
     of _c_scalar in the five noisy pair scalars.  Those are formed with the
-    expressions of c_at in _smallest_root, which _unbiased_root uses too, so
-    this differentiates the C either root finder evaluates, at whichever
-    root it returned; the closed form in t that gives _unbiased_root its
-    slope plays no part here.  Along lam, a0 and b0 change at the rates
-    2p - x1_0 and 2p - x2_0, and |a|^2, |b|^2 and a.b, each u^2 times its
-    noiseless value with u = 1 - lam, at -2/u times their own values.
-    dI/dx_i is -(dC/dx_i) / (dC/dlam), where dC/dx1 is
+    expressions of _along_noise, so this differentiates the C both root
+    finders evaluate, at whichever root they returned.  Along lam, a0 and
+    b0 change at the rates 2p - x1_0 and 2p - x2_0, and |a|^2, |b|^2 and
+    a.b, each u^2 times its noiseless value with u = 1 - lam, at -2/u times
+    their own values.  dI/dx_i is -(dC/dx_i) / (dC/dlam), where dC/dx1 is
     (u dC/da0, u^2 (2 dC/d|a|^2 a + dC/d(a.b) b)) with a, b the Bloch
     vectors of x1, x2, and dC/dx2 its mirror image.
 
@@ -424,7 +377,7 @@ def _gradient_at_root(
     shift = 2.0 * lam * p
     u2 = u * u
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
-    # The noisy pair scalars, formed as c_at in _smallest_root forms them.
+    # The noisy pair scalars, formed as _along_noise forms them.
     a0, va, b0, vb, d = u * a0 + shift, u2 * va, u * b0 + shift, u2 * vb, u2 * d
     ta = 2.0 - a0
     tb = 2.0 - b0

@@ -39,9 +39,9 @@ from steerctl import compat
 from steerctl.compat import (
     _BISECT_WIDTH,
     _DEGENERATE_TOL,
-    _NEWTON_GRID,
-    _NEWTON_PACE,
-    _NEWTON_STEPS,
+    _GRID,
+    _GRID_STEPS,
+    _PACE,
     _RADICAND_TOL,
     _SCAN_POINTS,
     _UNSHARP_TOL,
@@ -57,7 +57,7 @@ from steerctl.errors import (
 from steerctl.qubit_algebra import _in_effect_cone
 
 # Both root finders and the implicit gradient make no BLAS call, so every
-# test here, the Newton root's included, must pass on any BLAS kernel.
+# test here, the grid root's included, must pass on any BLAS kernel.
 pytestmark = pytest.mark.blas_kernel_independent
 
 X = sharp_effect([1.0, 0.0, 0.0])
@@ -304,6 +304,11 @@ def old_root(x1, x2, b):
     return _smallest_root(*compat._pair_scalars(x1, x2), 0.5 * (1.0 + b))
 
 
+def general_root(x1, x2, b):
+    """compat._smallest_root on the pair, whichever finder _robustness_tuples picks."""
+    return compat._smallest_root(*compat._pair_scalars(x1, x2), 0.5 * (1.0 + b))
+
+
 def outcome(f, *args):
     """The returned float as hex, or the type of the raised error."""
     try:
@@ -329,24 +334,23 @@ raw_components = st.tuples(
 )
 
 
-def on_newton_domain(x1, x2, b):
-    """True iff _robustness_tuples sends the pair to _unbiased_root."""
+def on_grid_domain(x1, x2, b):
+    """True iff _robustness_tuples sends the pair to _grid_root."""
     return (
-        0.5 * (1.0 + b) == 0.5
-        and not (x1[0] == 1.0 and x2[0] == 1.0)
+        not (0.5 * (1.0 + b) == 0.5 and x1[0] == 1.0 and x2[0] == 1.0)
         and _in_effect_cone(tuple(x1), 0.0)
         and _in_effect_cone(tuple(x2), 0.0)
     )
 
 
-def assert_same_root_or_within_root_tol(got, old, newton):
-    """Outcomes as from outcome(): equal, or on the Newton domain equal up to ROOT_TOL.
+def assert_same_root_or_within_root_tol(got, old, grid):
+    """Outcomes as from outcome(): equal, or on the grid domain equal up to ROOT_TOL.
 
-    The Newton root reads the sign of the same computed C as the bisection,
+    The grid root reads the sign of the same computed C as the bisection,
     but takes other points, so its root is another point of the same
     bracket: 0.0 and the error types come out alike, roots within ROOT_TOL.
     """
-    if newton and isinstance(got, str) and isinstance(old, str):
+    if grid and isinstance(got, str) and isinstance(old, str):
         got, old = float.fromhex(got), float.fromhex(old)
         assert (got == 0.0) == (old == 0.0)
         assert abs(got - old) <= ROOT_TOL
@@ -356,13 +360,13 @@ def assert_same_root_or_within_root_tol(got, old, newton):
 
 def assert_roots_agree(x1, x2, b):
     """Python floats and numpy scalars give the same bits, and the old path
-    gives them too off the Newton domain; on it, the same outcome within
+    gives them too off the grid domain; on it, the same outcome within
     ROOT_TOL."""
     as_np = lambda x: tuple(np.float64(v) for v in x)
     old = outcome(old_root, as_np(x1), as_np(x2), np.float64(b))
     got = outcome(compat._robustness_tuples, x1, x2, b)
     assert outcome(compat._robustness_tuples, as_np(x1), as_np(x2), np.float64(b)) == got
-    assert_same_root_or_within_root_tol(got, old, on_newton_domain(x1, x2, b))
+    assert_same_root_or_within_root_tol(got, old, on_grid_domain(x1, x2, b))
 
 
 @settings(**PROPERTY_SETTINGS)
@@ -373,7 +377,8 @@ def assert_roots_agree(x1, x2, b):
 )
 def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
     # Zeroing Bloch components keeps an effect valid; only incompatible
-    # pairs reach the scan and the bisection, or at b = 0 Newton.
+    # pairs reach the grid root, or with both identity coefficients 1 at
+    # b = 0 the scan and the bisection.
     assume(compat._robustness_tuples(x1, x2, b) > 0.0)
     assert_roots_agree(x1, x2, b)
 
@@ -383,13 +388,22 @@ def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
 def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
     # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
     # every path alike; compatible ones return 0.0 alike.  Invalid inputs
-    # never reach Newton, which needs both effects in the cone.
+    # never reach the grid root, which needs both effects in the cone.
     assert_roots_agree(x1, x2, b)
 
 
+@settings(**PROPERTY_SETTINGS)
+@given(x=st.one_of(raw_components, st.tuples(*[st.floats()] * 4)))
+def test_cone_test_on_pair_scalars_agrees_with_the_effect_cone(x):
+    # _robustness_tuples tests the cone on x0 and |x|^2 it already holds.
+    assert compat._in_cone(x[0], compat._pair_scalars(x, x)[1]) == _in_effect_cone(x, 0.0)
+
+
 # --- false position, the window check and the replayed bisection -----------
-# The finder locates each root by false position and bisects only inside a
-# checked window around it; the verbatim bisection above is the oracle.
+# _smallest_root locates each root by false position and bisects only inside
+# a checked window around it; the verbatim bisection above is the oracle.
+# These tests call it directly, through general_root: _robustness_tuples
+# sends their pairs, valid effects under biased noise, to the grid root.
 
 SCAN_STEP = 0.5 / (_SCAN_POINTS - 1)
 
@@ -424,15 +438,15 @@ def test_replayed_bisection_matches_the_oracle_on_a_seeded_sweep():
     for _ in range(10_000):
         x1, x2 = sweep_effect(rng), sweep_effect(rng)
         b = float(rng.uniform(-0.999, 0.999))
-        assert outcome(compat._robustness_tuples, x1, x2, b) == outcome(old_root, x1, x2, b)
-        lam = compat._robustness_tuples(x1, x2, b)
+        assert outcome(general_root, x1, x2, b) == outcome(old_root, x1, x2, b)
+        lam = general_root(x1, x2, b)
         if lam <= SCAN_STEP:
             continue
         offset = (0.0, float(rng.uniform(-1.0, 1.0)) * _WINDOW, 3.0 * _BISECT_WIDTH)[rng.integers(3)]
         t = int(rng.integers(1, lam / SCAN_STEP + 1)) * SCAN_STEP + offset
         mu = 1.0 - (1.0 - lam) / (1.0 - t)
         y1, y2 = premixed(x1, mu, b), premixed(x2, mu, b)
-        got = outcome(compat._robustness_tuples, y1, y2, b)
+        got = outcome(general_root, y1, y2, b)
         assert got == outcome(old_root, y1, y2, b), (y1, y2, b)
         moved += 1
         root = float.fromhex(got)
@@ -447,7 +461,7 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
     # the window's lower end; so the check fails, and the whole scan bracket
     # is bisected, as the oracle does under the same double.
     x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
-    root = compat._robustness_tuples(x1, x2, b)
+    root = general_root(x1, x2, b)
     real = compat._c_scalar
     seen = {"new": [], "old": []}
 
@@ -463,7 +477,7 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
 
     monkeypatch.setattr(compat, "_c_scalar", banded(seen["new"]))
     monkeypatch.setitem(globals(), "_c_scalar", banded(seen["old"]))
-    assert outcome(compat._robustness_tuples, x1, x2, b) == outcome(old_root, x1, x2, b)
+    assert outcome(general_root, x1, x2, b) == outcome(old_root, x1, x2, b)
     # Every midpoint the plain bisection read, the replay read too.  Those
     # are the oracle's last BISECT_STEPS reads; its scan reads before them
     # are left out, since the strided scan skips every second scan point.
@@ -472,18 +486,21 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
 
 
 def nonzero_root_inputs(monkeypatch, run):
-    """The _smallest_root arguments of every nonzero root that run() finds."""
+    """The finder arguments of every nonzero root that run() finds, with either finder."""
     found = []
-    real = compat._smallest_root
 
-    def recording(*args):
-        lam = real(*args)
-        if lam > 0.0:
-            found.append(args)
-        return lam
+    def recording(finder):
+        def recorded(*args):
+            lam = finder(*args)
+            if lam > 0.0:
+                found.append(args)
+            return lam
+
+        return recorded
 
     with monkeypatch.context() as m:
-        m.setattr(compat, "_smallest_root", recording)
+        for name in ("_smallest_root", "_grid_root"):
+            m.setattr(compat, name, recording(getattr(compat, name)))
         run()
     return found
 
@@ -491,8 +508,9 @@ def nonzero_root_inputs(monkeypatch, run):
 @pytest.mark.parametrize("workload", ["landscape-dp", "optimize-ad"])
 def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
     # The benchmark's scenarios on a coarser grid and with fewer starts.
-    # Under unbiased noise every optimize-ad pair takes the Newton root, so
-    # that scenario runs with bias 0.25 here, as the robustness_ad golden.
+    # Every optimize-ad pair takes the grid root, so its recorded inputs go
+    # to _smallest_root here; that scenario runs with bias 0.25, as the
+    # robustness_ad golden.
     if workload == "landscape-dp":
         axis = np.arange(-15.0, 15.0 + 1e-9, 0.5)
         run = lambda: landscape(xz_scenario("dp"), 2.6, 2.8, axis, axis)
@@ -524,20 +542,22 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
         new_total += new_calls
         old_total += calls[0]
     assert len(roots) > 300
-    # Measured: 19.20 against 51.21 calls per root on the landscape (ratio
-    # 0.375), 16.56 against 45.30 in the biased optimizer (0.366, 384 roots).
+    # Measured: 19.17 against 51.21 calls per root on the landscape (ratio
+    # 0.374, 2108 roots), 16.52 against 45.32 in the biased optimizer
+    # (0.364, 394 roots).
     assert new_total <= {"landscape-dp": 0.41, "optimize-ad": 0.40}[workload] * old_total
 
 
 def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
     # The double reports C = -1 below lam = 0.2 and 1e-300 above, so each
-    # false-position step lands half a bisection width inside the upper end
-    # and Illinois halving would take a thousand steps to help.  The pace
-    # rule caps the locate on the two-step scan bracket at
-    # 2 log2(2 SCAN_STEP / _WINDOW) + 4 < 79 steps, the check adds 2, and
+    # false-position step lands one grid step inside the upper end and
+    # Illinois halving would take a thousand steps to help.  The pace rule
+    # leaves the two-step scan bracket at most
+    # 4 SCAN_STEP _PACE**k + _GRID wide after step k = 0, 1, ..., so the
+    # locate ends within LOCATE_STEPS steps at _WINDOW; the check adds 2, and
     # the replay reads C at no more than 7 midpoints, which all lie inside
-    # the window: 87 calls after the scan at most, against the bisection's
-    # 40, and the strided scan reads 13 points fewer than the oracle's 26.
+    # the window.  The scan reads 13 points, where the oracle's reads 26.
+    locate_steps = 1 + math.ceil(math.log(_WINDOW - _GRID, _PACE) - math.log(4 * SCAN_STEP, _PACE))
     x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
     calls = []
 
@@ -548,21 +568,24 @@ def test_pace_rule_bounds_the_locate_where_false_position_stalls(monkeypatch):
 
     monkeypatch.setattr(compat, "_c_scalar", step)
     monkeypatch.setitem(globals(), "_c_scalar", step)
-    new = compat._robustness_tuples(x1, x2, b)
+    new = general_root(x1, x2, b)
     new_calls = len(calls)
     calls.clear()
     assert new.hex() == old_root(x1, x2, b).hex()
     assert abs(new - 0.2) <= ROOT_TOL
-    assert new_calls - len(calls) <= 85 - BISECT_STEPS
+    # Measured: 99 calls, 77 of them in the locate.
+    assert locate_steps == 78
+    assert new_calls <= 1 + 13 + locate_steps + 2 + 7
 
 
-# --- Newton under unbiased noise --------------------------------------------
-# At b = 0, pairs of valid effects whose identity coefficients are not both
-# exactly 1 take _unbiased_root.  It reads the sign of the same computed C
-# as the bisection, so its root is another point of the same bracket.
+# --- the grid root ------------------------------------------------------------
+# Pairs of valid effects take _grid_root, unless the noise is unbiased and
+# both identity coefficients are exactly 1.  It reads the sign of the same
+# computed C as the bisection, so its root is another point of the same
+# bracket.
 
 
-def newton_effect(x0, theta, phi, fraction):
+def cone_effect(x0, theta, phi, fraction):
     """(x0, r n) with r = fraction * min(x0, 2 - x0), pulled inside the cone by an ulp if needed."""
     r = fraction * min(x0, 2.0 - x0)
     rs = r * math.sin(theta)
@@ -576,8 +599,8 @@ def newton_effect(x0, theta, phi, fraction):
 #: anywhere in [0, 2];
 #: Bloch fractions sharp, within 1e-15 to 1e-3 of sharp, or shrunk by at
 #: most half, so that most pairs are incompatible.
-newton_effects = st.builds(
-    newton_effect,
+cone_effects = st.builds(
+    cone_effect,
     st.one_of(
         st.floats(0.5, 1.5),
         st.sampled_from([1.0, 1e-6, 1e-3, 2.0 - 1e-3, 2.0 - 1e-6]),
@@ -593,10 +616,10 @@ newton_effects = st.builds(
 )
 
 
-def newton_outcome(x1, x2):
-    """outcome() of _robustness_tuples at b = 0, and the _c_scalar calls it made.
+def grid_outcome(x1, x2, b):
+    """outcome() of _robustness_tuples, and the _c_scalar calls it made.
 
-    Fails if a pair on the Newton domain reaches _smallest_root.
+    Fails if a pair on the grid domain reaches _smallest_root.
     """
     calls = []
     real = compat._c_scalar
@@ -606,46 +629,47 @@ def newton_outcome(x1, x2):
         return real(*args)
 
     def refused(*args):
-        raise AssertionError("a pair on the Newton domain reached _smallest_root")
+        raise AssertionError("a pair on the grid domain reached _smallest_root")
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(compat, "_c_scalar", counted)
-        if on_newton_domain(x1, x2, 0.0):
+        if on_grid_domain(x1, x2, b):
             m.setattr(compat, "_smallest_root", refused)
-        got = outcome(compat._robustness_tuples, x1, x2, 0.0)
+        got = outcome(compat._robustness_tuples, x1, x2, b)
     return got, len(calls)
 
 
 @settings(**{**PROPERTY_SETTINGS, "max_examples": 300})
-@given(x1=newton_effects, x2=newton_effects)
-@example(x1=(1e-5, 1e-5, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 1.0))  # a weak and a sharp effect
-@example(x1=(1.2, 0.8, 0.0, 0.0), x2=(0.8, 0.0, 0.0, 0.8))  # two sharp biased effects
-def test_unbiased_root_is_the_general_root_within_root_tol(x1, x2):
-    got, calls = newton_outcome(x1, x2)
-    general = outcome(compat._smallest_root, *compat._pair_scalars(x1, x2), 0.5)
-    newton = on_newton_domain(x1, x2, 0.0)
-    assert_same_root_or_within_root_tol(got, general, newton)
+@given(x1=cone_effects, x2=cone_effects, b=st.one_of(st.just(0.0), st.floats(-0.999, 0.999)))
+@example(x1=(1e-5, 1e-5, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 1.0), b=0.0)  # a weak and a sharp effect
+@example(x1=(1.2, 0.8, 0.0, 0.0), x2=(0.8, 0.0, 0.0, 0.8), b=0.0)  # two sharp biased effects
+@example(x1=(1.0, 1.0, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 1.0), b=0.999)  # sharp, near unit bias
+def test_grid_root_is_the_general_root_within_root_tol(x1, x2, b):
+    got, calls = grid_outcome(x1, x2, b)
+    grid = on_grid_domain(x1, x2, b)
+    assert_same_root_or_within_root_tol(got, outcome(old_root, x1, x2, b), grid)
     if isinstance(got, str):
         root = float.fromhex(got)
         assert 0.0 <= root < 0.5
-        if newton and root > 0.0:
+        if grid and root > 0.0:
             # The midpoint of a grid step across the sign change.
-            assert root / _NEWTON_GRID % 1.0 == 0.5
-    if newton:
-        # The two checks, then at most _NEWTON_STEPS steps of one call each.
-        assert calls <= 2 + _NEWTON_STEPS
+            assert root / _GRID % 1.0 == 0.5
+    if grid:
+        # The two checks, then at most _GRID_STEPS steps of one call each.
+        assert calls <= 2 + _GRID_STEPS
 
 
-def test_unbiased_root_on_a_seeded_sweep():
+def test_grid_root_on_a_seeded_sweep():
     # Valid effects with identity coefficients in [0, 2], a tenth of them
-    # within 1e-12 to 1e-1 of 0 or 2, each sharp, near-sharp or shrunk.
-    # Measured: 1 222 nonzero roots in 8 000 pairs, at most 7.3e-15 from the
-    # bisection oracle, 7.2 C evaluations per root on average (6 to 18),
-    # where the oracle takes about 45.
+    # within 1e-12 to 1e-1 of 0 or 2, each sharp, near-sharp or shrunk,
+    # under bias in (-0.999, 0.999).  Measured: 3 165 nonzero roots in
+    # 20 000 pairs, at most 6.9e-15 from the bisection oracle, 10.1 C
+    # evaluations per root on average (6 to 32), where the oracle takes
+    # about 45.
     rng = np.random.default_rng(2026)
     worst = 0.0
     evaluations = []
-    for _ in range(8_000):
+    for _ in range(20_000):
         pair = []
         for _ in range(2):
             x0 = float(rng.uniform(0.0, 2.0))
@@ -655,19 +679,20 @@ def test_unbiased_root_on_a_seeded_sweep():
             theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
             near_sharp = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
             fraction = (1.0, near_sharp, rng.uniform(0.0, 1.0))[rng.integers(3)]
-            pair.append(newton_effect(x0, theta, phi, float(fraction)))
+            pair.append(cone_effect(x0, theta, phi, float(fraction)))
         x1, x2 = pair
-        got, calls = newton_outcome(x1, x2)
-        old = outcome(old_root, x1, x2, 0.0)
-        assert_same_root_or_within_root_tol(got, old, on_newton_domain(x1, x2, 0.0))
+        b = float(rng.uniform(-0.999, 0.999))
+        got, calls = grid_outcome(x1, x2, b)
+        old = outcome(old_root, x1, x2, b)
+        assert_same_root_or_within_root_tol(got, old, on_grid_domain(x1, x2, b))
         if isinstance(got, str) and float.fromhex(got) > 0.0:
             worst = max(worst, abs(float.fromhex(got) - float.fromhex(old)))
             evaluations.append(calls)
-    assert len(evaluations) > 1_000
+    assert len(evaluations) > 3_000
     assert worst <= 1e-13
-    # A Newton step that went wrong every time would leave the loop to its
-    # bisection steps, about 50 evaluations per root.
-    assert np.mean(evaluations) <= 8.0 and max(evaluations) <= 25
+    # A false position that went wrong every time would leave the loop to
+    # its bisection steps, about 50 evaluations per root.
+    assert np.mean(evaluations) <= 11.0 and max(evaluations) <= 40
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
@@ -675,11 +700,12 @@ def test_unbiased_root_on_a_seeded_sweep():
 def test_root_of_a_weak_and_a_sharp_effect_is_accurate(eps, complemented):
     # eps times the x projector, or one minus it, against the z projector:
     # C's closed form in t = (1 - lam)^2 cancels terms of order 1 here and
-    # placed these roots up to 2.6e-11 off; as the slope only, it does not.
+    # placed these roots up to 2.6e-11 off, so the root must read the signs
+    # of _c_scalar.
     x0 = 2.0 - eps if complemented else eps
     x1 = (x0, min(x0, 2.0 - x0) * (-1.0 if complemented else 1.0), 0.0, 0.0)
     x2 = (1.0, 0.0, 0.0, 1.0)
-    assert on_newton_domain(x1, x2, 0.0)
+    assert on_grid_domain(x1, x2, 0.0)
     got = compat._robustness_tuples(x1, x2, 0.0)
     mpmath.mp.dps = 40
 
@@ -694,14 +720,13 @@ def test_root_of_a_weak_and_a_sharp_effect_is_accurate(eps, complemented):
     assert abs(got - reference) <= 1e-14
 
 
-def test_newton_pace_rule_bounds_a_stalled_iteration(monkeypatch):
+def test_grid_root_pace_rule_bounds_a_stalled_iteration(monkeypatch):
     # The double reports C = -1 below lam = 0.2 and 1e-300 above it, so a
-    # Newton step from above moves only one grid step, and one from below
-    # jumps out of the bracket.  The pace rule still ends the
-    # loop within _NEWTON_STEPS steps: the bracket, 1/2 wide, must keep
-    # below _NEWTON_PACE**(k - 2) after step k, and the loop ends when it
-    # is one grid step wide.
-    assert _NEWTON_PACE ** (_NEWTON_STEPS - 2) <= _NEWTON_GRID < _BISECT_WIDTH
+    # false-position step lands one grid step inside the upper end.  The
+    # pace rule still ends the loop within _GRID_STEPS steps: the bracket,
+    # 1/2 wide, is at most _PACE**k + _GRID wide after step k = 0, 1, ...,
+    # and a multiple of _GRID, so one grid step wide once _PACE**k < _GRID.
+    assert _PACE ** (_GRID_STEPS - 1) < _GRID < _BISECT_WIDTH
     x1, x2 = (0.5, 0.4, 0.0, 0.0), (0.5, 0.0, 0.0, 0.4)
     lams = []
 
@@ -714,13 +739,13 @@ def test_newton_pace_rule_bounds_a_stalled_iteration(monkeypatch):
     monkeypatch.setattr(compat, "_c_scalar", step)
     root = compat._robustness_tuples(x1, x2, 0.0)
     assert abs(root - 0.2) <= ROOT_TOL
-    # Measured: 173 calls.  Without the pace rule the grid steps from above
-    # would take about 4e13.
-    assert len(lams) <= 2 + _NEWTON_STEPS
+    # Measured: 94 calls.  Without the pace rule the grid steps
+    # from above would take about 4e13.
+    assert len(lams) <= 2 + _GRID_STEPS
 
 
 def test_pairs_outside_the_cone_keep_the_general_root_under_unbiased_noise():
-    # Invalid pairs with a root: Newton would give the first one
+    # Invalid pairs with a root: the grid root would give the first one
     # NoiseInsufficientError, where the general root finder finds 0.0052,
     # and the second one other bits.
     pairs = [
@@ -734,7 +759,7 @@ def test_pairs_outside_the_cone_keep_the_general_root_under_unbiased_noise():
         ),
     ]
     for x1, x2 in pairs:
-        assert not on_newton_domain(x1, x2, 0.0)
+        assert not on_grid_domain(x1, x2, 0.0)
         old = outcome(old_root, x1, x2, 0.0)
         assert float.fromhex(old) > 0.0
         assert outcome(compat._robustness_tuples, x1, x2, 0.0) == old
@@ -742,25 +767,29 @@ def test_pairs_outside_the_cone_keep_the_general_root_under_unbiased_noise():
 
 def test_unbiased_root_raises_where_c_stays_negative(monkeypatch):
     # No pair of valid effects stays incompatible at lam = 1/2 under
-    # unbiased noise, so a double reports C = -1 everywhere; the check at
-    # the last scan point raises as the general root finder's scan does.
+    # unbiased noise, so a double reports C = -1 everywhere; the grid root's
+    # check at lam = 1/2 raises as the general root finder's scan does.
     x1, x2 = (0.5, 0.4, 0.0, 0.0), (0.5, 0.0, 0.0, 0.4)
     negative = lambda *args: -1.0
     monkeypatch.setattr(compat, "_c_scalar", negative)
     monkeypatch.setitem(globals(), "_c_scalar", negative)
-    assert on_newton_domain(x1, x2, 0.0)
+    assert on_grid_domain(x1, x2, 0.0)
     with pytest.raises(NoiseInsufficientError):
         compat._robustness_tuples(x1, x2, 0.0)
     assert outcome(old_root, x1, x2, 0.0) is NoiseInsufficientError
 
 
 def test_root_near_unit_bias_is_the_oracles():
+    # Valid pairs under biased noise take the grid root: the oracle's
+    # outcome, the root within ROOT_TOL.
     pairs = [(X, Z), (FourVector(1.0, 0.9, 0.0, 0.1), FourVector(1.0, 0.05, 0.1, 0.9))]
     for b in (1.0 - 1e-9, 1.0 - 1e-10, -1.0 + 1e-9, -1.0 + 1e-10):
         for x1, x2 in pairs:
             lam = robustness(x1, x2, b)
             assert 0.0 < lam < 0.5
-            assert lam.hex() == old_root(x1.as_tuple(), x2.as_tuple(), b).hex()
+            y1, y2 = x1.as_tuple(), x2.as_tuple()
+            assert on_grid_domain(y1, y2, b)
+            assert_same_root_or_within_root_tol(lam.hex(), outcome(old_root, y1, y2, b), True)
     for b in (1.0, -1.0):
         with pytest.raises(ValueError, match="bias"):
             robustness(X, Z, b)
