@@ -22,29 +22,29 @@ partials of C in the same five scalars.
 
 Two root finders share the lam = 0 check, the check at lam = 1/2, the
 computed C and one loop, Illinois false position with trial points on a
-grid of 2**-47 (_false_position); _robustness_tuples picks one per pair.
+grid of 2**-47 (_false_position); _robustness_tuples picks one per pair by
+one exact test.
 
-- Two valid effects, unless the noise is unbiased (p == 1/2) and both
-  identity coefficients are exactly 1: _grid_root, which runs the loop on
-  [0, 1/2] down to one grid step and returns that step's midpoint, about
-  10 evaluations of C per root.  Amplitude damping's transported pairs,
-  under any bias, are such pairs.
-- Unbiased pairs with both identity coefficients exactly 1, and inputs
-  outside the cone: _smallest_root, which brackets the first sign change
-  of C on a 64-point grid, runs the loop on that bracket, and returns what
-  bisecting the scan bracket gives, reading the sign of C only inside a
-  checked window around the located root, about 19 evaluations of C per
-  root.
+- Unbiased noise (p == 1/2) with both identity coefficients exactly 1:
+  _smallest_root, which brackets the first sign change of C on a 64-point
+  grid, runs the loop on that bracket, and returns what bisecting the scan
+  bracket gives, reading the sign of C only inside a checked window around
+  the located root, about 19 evaluations of C per root.  Every pair of a
+  unital drift such as dephasing under unbiased noise is such a pair.
+- Every other pair: _grid_root, which runs the loop on [0, 1/2] down to one
+  grid step and returns that step's midpoint, about 10 evaluations of C per
+  root.  Amplitude damping's transported pairs, under any bias, are such
+  pairs.
 
-The pairs left to _smallest_root are every pair of a unital drift such as
-dephasing.  Their robustness has a closed form of its own,
+Both take effects that their callers have checked at EFFECT_TOL.  The pairs
+left to _smallest_root have a closed form of their own,
 1 - 2/(|a+b| + |a-b|) (P. Busch, Phys. Rev. D 33, 2253 (1986)), which is to
-replace the root finder there.  It waits for the benchmark to stop keeping
-each job's output: the benchmark's landscape job, where every pair is such
-a pair, would run more jobs in its window and so hold more memory.  Both
-finders return the midpoint of a bracket at most _BISECT_WIDTH wide across
-a sign change of the same computed C, so they agree within about that
-wherever C changes sign once.
+replace it; _smallest_root remains only because the benchmark keeps each
+job's output, so a faster landscape job, where every pair is such a pair,
+would run more jobs in its window and hold more memory.  Both finders
+return the midpoint of a bracket at most _BISECT_WIDTH wide across a sign
+change of the same computed C, so they agree within about that wherever C
+changes sign once.
 
 Noise composes as N_mu o N_lam = N_{lam+mu-lam*mu}, and post-processing a
 jointly measurable pair keeps it jointly measurable, so compatibility at
@@ -138,12 +138,6 @@ def _pair_scalars(
     return a0, va, b0, vb, d
 
 
-def _in_cone(x0: float, v: float) -> bool:
-    """qubit_algebra._in_effect_cone with no tolerance, on x0 and |x|^2 = v."""
-    t0 = 2.0 - x0
-    return x0 >= 0.0 and t0 >= 0.0 and x0 * x0 - v >= 0.0 and t0 * t0 - v >= 0.0
-
-
 def _c_scalar(a0: float, va: float, b0: float, vb: float, d: float) -> float:
     """C from the five pair scalars.  Raises on a radicand below -1e-12."""
     ta = 2.0 - a0
@@ -234,11 +228,12 @@ def _false_position(
 
 
 def _grid_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
-    """Smallest lam in (0, 1/2] with C = 0 for two valid effects, or 0.0.
+    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
 
-    After _smallest_root's lam = 0 check and the check at lam = 1/2, on the
-    same _c_scalar calls, so 0.0 and NoiseInsufficientError come out where
-    it gives them, _false_position narrows [0, 1/2] to one grid step; its
+    Serves every pair but the unbiased unit-identity ones.  After
+    _smallest_root's lam = 0 check and the check at lam = 1/2, on the same
+    _c_scalar calls, so 0.0 and NoiseInsufficientError come out where it
+    gives them, _false_position narrows [0, 1/2] to one grid step; its
     midpoint is the root.  Every trial point is a grid point, so the loop
     ends within _GRID_STEPS steps, on the grid step across the sign change
     of the computed C.
@@ -259,9 +254,11 @@ def _grid_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -
 def _smallest_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
     """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
 
-    After the lam = 0 check, a scan of the 64-point grid brackets the first
-    sign change of C.  It reads grid points 2, 4, ..., 62 and 63 and stops
-    at the first one with C >= 0 (see the module docstring).
+    Serves unbiased noise with both identity coefficients exactly 1, the
+    pairs the closed form 1 - 2/(|a+b| + |a-b|) covers.  After the lam = 0
+    check, a scan of the 64-point grid brackets the first sign change of C.
+    It reads grid points 2, 4, ..., 62 and 63 and stops at the first one
+    with C >= 0 (see the module docstring).
     _false_position then narrows the scan bracket to _WINDOW, and C is
     checked to be negative at _WINDOW below its midpoint and nonnegative at
     _WINDOW above it; if not, the window is the whole scan bracket.  Last,
@@ -318,18 +315,19 @@ def _robustness_tuples(
 ) -> float:
     """Root finder entry for callers that already hold raw components.
 
-    A pair of valid effects (in the cone with no tolerance, tested on the
-    pair scalars as qubit_algebra._in_effect_cone tests raw components)
-    goes to _grid_root, unless the noise is unbiased and both identity
-    coefficients are exactly 1; every other pair to _smallest_root.  Python
-    floats keep every operation off numpy's scalar machinery; np.float64
-    components give the same bits, only slower.
+    Both effects must lie in the cone at EFFECT_TOL
+    (qubit_algebra._in_effect_cone), as robustness and
+    ScenarioEvaluator._transported_value check them first.  Unbiased noise
+    with both identity coefficients exactly 1 goes to _smallest_root, every
+    other pair to _grid_root.  Python floats keep every operation off
+    numpy's scalar machinery; np.float64 components give the same bits,
+    only slower.
     """
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
     p = 0.5 * (1.0 + b)
-    if not (p == 0.5 and a0 == 1.0 and b0 == 1.0) and _in_cone(a0, va) and _in_cone(b0, vb):
-        return _grid_root(a0, va, b0, vb, d, p)
-    return _smallest_root(a0, va, b0, vb, d, p)
+    if p == 0.5 and a0 == 1.0 and b0 == 1.0:
+        return _smallest_root(a0, va, b0, vb, d, p)
+    return _grid_root(a0, va, b0, vb, d, p)
 
 
 def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import _MAX_CENTERS, PulseSequence, _count, _propagate_with_vjp, _slot_blocks
+from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_factors
 from .steering import SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -383,16 +383,12 @@ def landscape(
     dt = 0.5 * (T - t_drift)
 
     # The drift window is a zero-amplitude slot of length t_drift.
-    drift_part = _slot_blocks(l0, k, t_drift, [0.0])[0, :, :4]
+    drift_part = _slot_factors(l0, k, t_drift, [0.0])[0]
     # Both axes' distinct amplitudes in one stack, so a center they share is
-    # built once; each axis keeps its indices into it.  Only the E halves
-    # are kept, served a slice of at most _MAX_CENTERS amplitudes at a time,
-    # so no [E | F] stack of a whole axis is held.
+    # built once; each axis keeps its indices into it.  Only the slot
+    # factors are kept, so no [E | F] stack of a whole axis is held.
     amps, where = np.unique(np.concatenate([c1s, c2s]), return_inverse=True)
-    slots = np.empty((amps.size, 4, 4))
-    for start in range(0, amps.size, _MAX_CENTERS):
-        part = amps[start : start + _MAX_CENTERS]
-        slots[start : start + part.size] = _slot_blocks(l0, k, dt, part)[..., :4]
+    slots = _slot_factors(l0, k, dt, amps)
     rows, cols = where[: c1s.size].tolist(), where[c1s.size :].tolist()
     values = np.empty((c1s.size, c2s.size))
     for i, row in enumerate(rows):

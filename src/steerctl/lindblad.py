@@ -329,31 +329,28 @@ class _SlotTables:
         scaled = np.ldexp(np.minimum(np.maximum(amplitudes, -self._bound), self._bound), self._shift)
         return np.rint(scaled), scaled
 
-    def blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The (m, 4, 8) slot blocks [E | F] of the amplitudes.
+    def blocks(self, amplitudes: np.ndarray, width: int = 8) -> np.ndarray:
+        """The (m, 4, 8) slot blocks [E | F] of the amplitudes, or E alone for width 4.
 
-        A call of more than _MAX_CENTERS slots is served in batches of that
-        many, in order of their centers, so neither the cache nor a batch's
-        gathered tables hold more centers than that.
+        Slots are served in contiguous batches of _MAX_CENTERS, each written
+        straight into the output, so neither the cache nor a batch's
+        gathered tables hold more centers than that.  Each slot is its own
+        product, so its bits depend neither on its batch nor on the width.
 
         Raises:
             InvalidEffectError: if a center is not finite, which a NaN
                 amplitude gives, and an infinite one at a spacing h >= 1
                 (a zero control's included); no table is kept for it.
         """
-        centers, scaled = self.locate(amplitudes)
-        if len(centers) <= _MAX_CENTERS:
-            # One batch: the sort's gathers and scatter would cost a pulse
-            # evaluation about 4 us, a few percent of an optimizer's time.
-            return self._served(centers, scaled)
-        order = centers.argsort()
-        out = np.empty((len(order), 4, 8))
-        for slots in np.split(order, range(_MAX_CENTERS, len(order), _MAX_CENTERS)):
-            out[slots] = self._served(centers[slots], scaled[slots])
+        out = np.empty((len(amplitudes), 4, width))
+        for start in range(0, len(amplitudes), _MAX_CENTERS):
+            batch = slice(start, start + _MAX_CENTERS)
+            self._served(amplitudes[batch], out[batch])
         return out
 
-    def _served(self, centers: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-        """blocks for at most _MAX_CENTERS slots, their tables built if missing."""
+    def _served(self, amplitudes: np.ndarray, out: np.ndarray) -> None:
+        """Write the blocks of at most _MAX_CENTERS slots into out, building missing tables."""
+        centers, scaled = self.locate(amplitudes)
         keys = centers.tolist()
         index, table = self._built
         missing = set(keys).difference(index)
@@ -373,8 +370,11 @@ class _SlotTables:
         powers[1:] = scaled - centers
         # Each slot's powers u**i as one contiguous row, for its own product.
         powers = np.ascontiguousarray(np.multiply.accumulate(powers, out=powers).T)
-        rows = table.take([index[j] for j in keys], axis=0)
-        return (powers[:, None, :] @ rows).reshape(-1, 4, 8)
+        rows = table.take([index[j] for j in keys], axis=0).reshape(-1, _TABLE_TERMS, 4, 8)
+        # Each table row's first `width` columns of [E | F], as one matrix per slot.
+        width = out.shape[2]
+        rows = rows[..., :width].reshape(len(keys), _TABLE_TERMS, 4 * width)
+        np.matmul(powers[:, None, :], rows, out=out.reshape(len(keys), 1, 4 * width))
 
 
 @functools.lru_cache(maxsize=8)
@@ -393,6 +393,14 @@ def _slot_blocks(
     """
     tables = _slot_tables(l0.tobytes(), k.tobytes(), float(dt))
     return tables.blocks(np.asarray(amplitudes, dtype=float))
+
+
+def _slot_factors(
+    l0: np.ndarray, k: np.ndarray, dt: float, amplitudes: Sequence[float]
+) -> np.ndarray:
+    """The slot factors E_k of _slot_blocks alone, an (m, 4, 4) stack, with the same bits."""
+    tables = _slot_tables(l0.tobytes(), k.tobytes(), float(dt))
+    return tables.blocks(np.asarray(amplitudes, dtype=float), 4)
 
 
 def _scan(out: np.ndarray) -> np.ndarray:

@@ -336,11 +336,7 @@ raw_components = st.tuples(
 
 def on_grid_domain(x1, x2, b):
     """True iff _robustness_tuples sends the pair to _grid_root."""
-    return (
-        not (0.5 * (1.0 + b) == 0.5 and x1[0] == 1.0 and x2[0] == 1.0)
-        and _in_effect_cone(tuple(x1), 0.0)
-        and _in_effect_cone(tuple(x2), 0.0)
-    )
+    return not (0.5 * (1.0 + b) == 0.5 and x1[0] == 1.0 and x2[0] == 1.0)
 
 
 def assert_same_root_or_within_root_tol(got, old, grid):
@@ -359,14 +355,15 @@ def assert_same_root_or_within_root_tol(got, old, grid):
 
 
 def assert_roots_agree(x1, x2, b):
-    """Python floats and numpy scalars give the same bits, and the old path
-    gives them too off the grid domain; on it, the same outcome within
-    ROOT_TOL."""
+    """Python floats and numpy scalars give the same bits.  For effects at
+    EFFECT_TOL, the old path gives them too off the grid domain; on it, the
+    same outcome within ROOT_TOL."""
     as_np = lambda x: tuple(np.float64(v) for v in x)
-    old = outcome(old_root, as_np(x1), as_np(x2), np.float64(b))
     got = outcome(compat._robustness_tuples, x1, x2, b)
     assert outcome(compat._robustness_tuples, as_np(x1), as_np(x2), np.float64(b)) == got
-    assert_same_root_or_within_root_tol(got, old, on_grid_domain(x1, x2, b))
+    if _in_effect_cone(x1) and _in_effect_cone(x2):
+        old = outcome(old_root, as_np(x1), as_np(x2), np.float64(b))
+        assert_same_root_or_within_root_tol(got, old, on_grid_domain(x1, x2, b))
 
 
 @settings(**PROPERTY_SETTINGS)
@@ -386,17 +383,20 @@ def test_root_is_bit_identical_on_floats_and_numpy_scalars(x1, x2, b):
 @settings(**PROPERTY_SETTINGS)
 @given(x1=raw_components, x2=raw_components, b=st.floats(-0.9, 0.9))
 def test_root_outcome_is_the_same_on_raw_components(x1, x2, b):
-    # Invalid inputs raise InvalidEffectError or NoiseInsufficientError on
-    # every path alike; compatible ones return 0.0 alike.  Invalid inputs
-    # never reach the grid root, which needs both effects in the cone.
+    # Every raw input gives the same outcome on floats and numpy scalars;
+    # only effects at EFFECT_TOL, which the callers pass, are held to the
+    # oracle.  (0, 0, 0, 2) is not one.
     assert_roots_agree(x1, x2, b)
 
 
 @settings(**PROPERTY_SETTINGS)
-@given(x=st.one_of(raw_components, st.tuples(*[st.floats()] * 4)))
-def test_cone_test_on_pair_scalars_agrees_with_the_effect_cone(x):
-    # _robustness_tuples tests the cone on x0 and |x|^2 it already holds.
-    assert compat._in_cone(x[0], compat._pair_scalars(x, x)[1]) == _in_effect_cone(x, 0.0)
+@given(x1=raw_components, x2=raw_components, b=st.floats(-0.9, 0.9))
+def test_public_robustness_rejects_every_raw_pair_outside_the_effect_tolerance(x1, x2, b):
+    # The root finders take valid effects on trust; the public entry checks
+    # them first, so an invalid pair fails loud and typed.
+    assume(not (_in_effect_cone(x1) and _in_effect_cone(x2)))
+    with pytest.raises(InvalidEffectError):
+        robustness(FourVector(*x1), FourVector(*x2), b)
 
 
 # --- false position, the window check and the replayed bisection -----------
@@ -744,25 +744,58 @@ def test_grid_root_pace_rule_bounds_a_stalled_iteration(monkeypatch):
     assert len(lams) <= 2 + _GRID_STEPS
 
 
-def test_pairs_outside_the_cone_keep_the_general_root_under_unbiased_noise():
-    # Invalid pairs with a root: the grid root would give the first one
-    # NoiseInsufficientError, where the general root finder finds 0.0052,
-    # and the second one other bits.
-    pairs = [
-        (
-            (-0.7820183358281856, -1.1452569121990734, -0.023149802120391083, 0.5556291534624869),
-            (0.30043806042523435, -0.16839372868806946, -1.6423015204821017, 0.07612212996971346),
-        ),
-        (
-            (-1.1272395927344099, 1.553884898871725, -0.6957449140559748, 1.1420980162184273),
-            (-1.268483008796923, 1.2139399735262995, -0.20143046730239655, 0.708241865290927),
-        ),
-    ]
-    for x1, x2 in pairs:
-        assert not on_grid_domain(x1, x2, 0.0)
-        old = outcome(old_root, x1, x2, 0.0)
-        assert float.fromhex(old) > 0.0
-        assert outcome(compat._robustness_tuples, x1, x2, 0.0) == old
+#: Pairs of effects at EFFECT_TOL that are not both in the cone with no
+#: tolerance, and the bias.  The first is the optimize_ad golden's zero-pulse
+#: pair: its transported sharp z effect lies 2e-16 outside the cone.
+BAND_PAIRS = [
+    ((1.0, 0.8693582353988063, 0.0, 0.0), (0.7557837414557255, 0.0, 0.0, 0.7557837414557257), 0.0),
+    ((1.0, 0.8693582353988063, 0.0, 0.0), (0.7557837414557255, 0.0, 0.0, 0.7557837414557257), 0.25),
+    ((0.9, 0.9 + 3e-11, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), 0.0),  # C at lam = 0 clamps to 0
+    ((0.9, 0.9 + 3e-11, 0.0, 0.0), (1.0, 0.0, 0.0, 0.5), 0.0),  # a radicand below -1e-12
+    ((1.0, 1.0 + 3e-11, 0.0, 0.0), (1.0, 0.0, 0.6, 0.8), -0.5),
+    ((-5e-11, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), 0.0),
+]
+
+
+def band_effect(rng):
+    """An effect at EFFECT_TOL whose Bloch radius is a relative 1e-15 to 1e-10 past the cone."""
+    while True:
+        x0 = float(rng.uniform(0.0, 2.0))
+        r = min(x0, 2.0 - x0) * (1.0 + 10.0 ** float(rng.uniform(-15.0, -10.0)))
+        theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+        rs = r * math.sin(theta)
+        x = (x0, rs * math.cos(phi), rs * math.sin(phi), r * math.cos(theta))
+        if _in_effect_cone(x) and not _in_effect_cone(x, 0.0):
+            return x
+
+
+def test_pairs_in_the_effect_tolerance_band_take_the_grid_root():
+    # No cone test with zero tolerance routes these pairs any more: they
+    # take the grid root like any other, and give the oracle's outcome,
+    # the root within ROOT_TOL.  Measured on the seeded pairs: 600 roots,
+    # at most 6.9e-15 from the oracle, 1 332 zeros, 68 InvalidEffectError.
+    rng = np.random.default_rng(0)
+    pairs = list(BAND_PAIRS)
+    for _ in range(2_000):
+        x1 = band_effect(rng)
+        x2 = band_effect(rng) if rng.integers(2) else cone_effect(
+            float(rng.uniform(0.0, 2.0)),
+            float(rng.uniform(0.0, math.pi)),
+            float(rng.uniform(0.0, 2.0 * math.pi)),
+            float((1.0, rng.uniform(0.5, 1.0))[rng.integers(2)]),
+        )
+        pairs.append((x1, x2, (0.0, float(rng.uniform(-0.9, 0.9)))[rng.integers(2)]))
+    outcomes = set()
+    for x1, x2, b in pairs:
+        assert _in_effect_cone(x1) and _in_effect_cone(x2)
+        assert not (_in_effect_cone(x1, 0.0) and _in_effect_cone(x2, 0.0))
+        got, _ = grid_outcome(x1, x2, b)
+        assert_same_root_or_within_root_tol(got, outcome(old_root, x1, x2, b), True)
+        outcomes.add(got if not isinstance(got, str) else float.fromhex(got) > 0.0)
+    assert outcomes == {True, False, InvalidEffectError}
+    assert robustness(FourVector(*BAND_PAIRS[0][0]), FourVector(*BAND_PAIRS[0][1])) == float.fromhex(
+        "0x1.2e0cf3f0df980p-3"
+    )
 
 
 def test_unbiased_root_raises_where_c_stays_negative(monkeypatch):
@@ -793,6 +826,122 @@ def test_root_near_unit_bias_is_the_oracles():
     for b in (1.0, -1.0):
         with pytest.raises(ValueError, match="bias"):
             robustness(X, Z, b)
+
+
+# --- Busch's closed form on the pairs _smallest_root keeps -------------------
+# Under unbiased noise with both identity coefficients exactly 1, C at weight
+# lam is 2 (1 - u^2 (|a|^2 + |b|^2) + u^4 (a.b)^2) with u = 1 - lam, whose
+# first root is 1 - 2/(|a+b| + |a-b|), or 0 when that sum is at most 2
+# (P. Busch, Phys. Rev. D 33, 2253 (1986)).  The finder instead calls a pair
+# compatible when C >= -COMPAT_TOL at lam = 0, so the two zero calls differ
+# on a band just above sum = 2.  C there is about -(sum - 2) 2 D, with
+# D = sqrt((|a|^2 + |b|^2)^2 - 4 (a.b)^2), so the band is about
+# COMPAT_TOL / (2 D) wide and the closed form at most COMPAT_TOL / (4 D) on
+# it.  Measured: sum - 2 in (4.4e-16, 5.0e-13] on random pairs, but up to
+# 2.8e-7 for sharp-ish axes 1e-6 rad apart.  The same small D makes the
+# computed C flat, so near-parallel pairs are left out: at D = 2e-4 the
+# finder's root was 1.4e-12 off the closed form even off the band.
+
+#: Pairs with D below this are left out (see above).
+CLOSED_FORM_MIN_D = 1e-3
+
+
+def closed_form(x1, x2):
+    """(|a+b| + |a-b|, D, Busch's robustness) from the five pair scalars."""
+    _, va, _, vb, d = compat._pair_scalars(x1, x2)
+    total = math.sqrt(max(0.0, va + vb + 2.0 * d)) + math.sqrt(max(0.0, va + vb - 2.0 * d))
+    spread = math.sqrt(max(0.0, (va + vb) ** 2 - 4.0 * d * d))
+    return total, spread, (0.0 if total <= 2.0 else 1.0 - 2.0 / total)
+
+
+def closed_form_outcome(x1, x2):
+    """(sum, root, closed form) for an unbiased unit-identity pair, checked."""
+    _, va, _, vb, d = compat._pair_scalars(x1, x2)
+    for sign in (1.0, -1.0):
+        # |a +- b|^2 is va + vb +- 2d up to rounding, so the clamp at 0
+        # removes rounding only.
+        direct = sum((p + sign * q) ** 2 for p, q in zip(x1[1:], x2[1:]))
+        assert abs(va + vb + sign * 2.0 * d - direct) <= 16 * 2.0**-52 * (va + vb)
+    total, spread, closed = closed_form(x1, x2)
+    root = compat._robustness_tuples(x1, x2, 0.0)
+    if total <= 2.0:
+        assert root == 0.0
+    if (root == 0.0) == (closed == 0.0):
+        assert abs(root - closed) <= ROOT_TOL
+    else:
+        assert root == 0.0 < closed <= COMPAT_TOL / spread
+    return total, root, closed
+
+
+def unit_effect(theta, phi, fraction):
+    return cone_effect(1.0, theta, phi, fraction)
+
+
+unit_effects = st.builds(
+    unit_effect,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.one_of(
+        st.just(1.0),
+        st.builds(lambda k: 1.0 - 10.0**-k, st.floats(3.0, 15.0)),
+        st.floats(0.0, 1.0),
+    ),
+)
+
+
+@settings(**PROPERTY_SETTINGS)
+@given(x1=unit_effects, x2=unit_effects)
+@example(x1=(1.0, 1.0, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 1.0))  # sharp x and z
+@example(x1=(1.0, 0.5**0.5, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 0.5**0.5))  # sum 2 up to rounding
+@example(x1=(1.0, 0.7071067811866, 0.0, 0.0), x2=(1.0, 0.0, 0.0, 0.7071067811866))  # in the band
+def test_closed_form_is_the_unit_identity_root(x1, x2):
+    assume(closed_form(x1, x2)[1] >= CLOSED_FORM_MIN_D)
+    closed_form_outcome(x1, x2)
+
+
+def test_closed_form_on_a_seeded_sweep():
+    # Random unit-identity pairs, a third of them with the second effect
+    # scaled onto sum = 2 within a relative 1e-10.  Measured on this seed:
+    # 12 819 nonzero roots; off the band, at most 5.8e-15 from the closed
+    # form; the zero calls differ on 2 397 pairs, all with sum - 2 in
+    # [4.4e-16, 4.9e-13].
+    rng = np.random.default_rng(26)
+    band = []
+    worst = 0.0
+    nonzero = 0
+    for _ in range(20_000):
+        x1, x2 = (
+            unit_effect(
+                float(rng.uniform(0.0, math.pi)),
+                float(rng.uniform(0.0, 2.0 * math.pi)),
+                float((1.0, 1.0 - 10.0 ** rng.uniform(-15.0, -1.0), rng.uniform())[rng.integers(3)]),
+            )
+            for _ in range(2)
+        )
+        if rng.integers(3) == 0:
+            # Scale x2 so that the sum is 2, then by 1 + O(1e-10).
+            _, va, _, vb, d = compat._pair_scalars(x1, x2)
+            over = lambda t: math.sqrt(max(0.0, va + t * t * vb + 2.0 * t * d)) + math.sqrt(
+                max(0.0, va + t * t * vb - 2.0 * t * d)
+            ) > 2.0
+            if not over(1.0):
+                continue
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                lo, hi = (lo, 0.5 * (lo + hi)) if over(0.5 * (lo + hi)) else (0.5 * (lo + hi), hi)
+            t = min(1.0, hi * (1.0 + float(rng.uniform(-1e-10, 1e-10))))
+            x2 = (1.0, *(t * c for c in x2[1:]))
+        total, spread, _ = closed_form(x1, x2)
+        if spread < CLOSED_FORM_MIN_D:
+            continue
+        total, root, closed = closed_form_outcome(x1, x2)
+        if (root == 0.0) != (closed == 0.0):
+            band.append(total - 2.0)
+        else:
+            worst = max(worst, abs(root - closed))
+        nonzero += root > 0.0
+    assert nonzero > 10_000 and worst <= 1e-13
+    assert len(band) > 1_000 and 0.0 < min(band) and max(band) <= 1e-12
 
 
 def test_slightly_negative_c_at_zero_noise_counts_as_compatible():

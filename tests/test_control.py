@@ -26,7 +26,7 @@ from steerctl import (
     steering_robustness,
     time_sweep,
 )
-from steerctl import compat, control, lindblad
+from steerctl import cli, compat, control, lindblad
 from steerctl.errors import InvalidEffectError
 
 SMALL = OptimizeConfig(T=1.0, m=6, n_starts=4, seed=3, max_iters=60)
@@ -357,6 +357,22 @@ def test_dephasing_landscape_pairs_stay_off_the_grid_root(monkeypatch):
     assert biases == {0.0}
 
 
+@pytest.mark.parametrize("name", ["optimize_ad", "robustness_ad"])
+def test_amplitude_damping_goldens_keep_other_pairs_off_the_general_root(monkeypatch, tmp_path, name):
+    # The general root finder serves the unbiased unit-identity pairs only;
+    # amplitude damping's pairs, the zero pulse's sharp z effect 2e-16
+    # outside the cone included, all take the grid root.
+    original = compat._smallest_root
+
+    def unit_identity_only(a0, va, b0, vb, d, p):
+        assert p == 0.5 and a0 == 1.0 and b0 == 1.0
+        return original(a0, va, b0, vb, d, p)
+
+    monkeypatch.setattr(compat, "_smallest_root", unit_identity_only)
+    config = os.path.join(os.path.dirname(__file__), "data", f"{name}.config.json")
+    assert cli.run(config, out=str(tmp_path / name)) == 0
+
+
 def test_landscape_rejects_bad_drift_window():
     s = xz_scenario("ad")
     with pytest.raises(ValueError):
@@ -377,7 +393,7 @@ def test_landscape_rejects_a_bad_axis_before_any_exponential(monkeypatch, name, 
     def no_expm(*args, **kwargs):
         raise AssertionError("an exponential was taken")
 
-    monkeypatch.setattr(control, "_slot_blocks", no_expm)
+    monkeypatch.setattr(control, "_slot_factors", no_expm)
     axes = {"c1_axis": [0.0], "c2_axis": [0.0], name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         landscape(xz_scenario("ad"), t_drift=2.6, T=2.8, **axes)

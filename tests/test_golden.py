@@ -14,9 +14,9 @@ from steerctl import cli
 
 DATA = Path(__file__).parent / "data"
 
-#: The landscape and robustness goldens make no BLAS call whose bits depend on
-#: the kernel; scipy's L-BFGS-B does, so the optimize golden is exact only on
-#: the kernel that wrote it.
+#: The landscape and robustness goldens hold byte for byte on any OpenBLAS
+#: kernel with fused multiply-add; scipy's L-BFGS-B rounds by kernel, so the
+#: optimize golden is exact only on the kernel that wrote it.
 ANY_KERNEL = pytest.mark.blas_kernel_independent
 
 GOLDEN = [
@@ -42,7 +42,9 @@ def test_optimize_golden_holds_on_any_blas_kernel(tmp_path):
     # scipy's L-BFGS-B calls BLAS itself, so the final iterate's last bits
     # depend on the kernel OpenBLAS picks for the host; under the Haswell
     # kernel the amplitudes move by up to 2.7e-13.  Every value reported
-    # for the starts, the best pulse's included, stays exact.
+    # for the starts, the best pulse's included, stays exact on kernels
+    # with fused multiply-add; without it (Sandybridge) one start value
+    # moves by 7.1e-15.
     out = tmp_path / "optimize_ad"
     assert cli.run(str(DATA / "optimize_ad.config.json"), out=str(out)) == 0
     got = json.loads(out.with_suffix(".json").read_text())

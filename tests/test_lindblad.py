@@ -42,6 +42,7 @@ from steerctl.lindblad import (
     _THETA,
     _scan,
     _slot_blocks,
+    _slot_factors,
     _slot_scans,
     _slot_tables,
     _SlotTables,
@@ -743,6 +744,23 @@ def test_center_cache_is_bounded_and_keeps_the_bits(monkeypatch):
         assert tables.blocks(pulse).tobytes() == ref.tobytes()
         index, table = tables._built
         assert len(index) == len(table) <= 10
+
+
+@pytest.mark.blas_kernel_independent
+def test_slot_factors_are_the_e_halves_of_the_slot_blocks(monkeypatch):
+    # The landscape asks for E alone, a product over the E columns of each
+    # table row only; it must give the E half of [E | F] bit for bit, over
+    # several batches as well.
+    k = control_matrix(ControlHamiltonian((0.0, 1.0, 1.0)))
+    amplitudes = np.random.default_rng(5).uniform(-15.0, 15.0, 45)
+    monkeypatch.setattr(lindblad, "_MAX_CENTERS", 10)
+    lindblad._slot_tables.cache_clear()
+    for drift in DRIFTS.values():
+        for dt in (SLOT_DT, 2.6):
+            blocks = _slot_blocks(drift.matrix, k, dt, amplitudes)
+            factors = _slot_factors(drift.matrix, k, dt, amplitudes)
+            assert factors.shape == (45, 4, 4)
+            assert factors.tobytes() == np.ascontiguousarray(blocks[..., :4]).tobytes()
 
 
 def test_cold_center_build_has_bounded_memory():
