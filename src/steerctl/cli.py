@@ -28,14 +28,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from . import compat
-from .control import LandscapeGrid, OptimizeConfig, landscape, naive_optimize, optimize, time_sweep
+from .control import (
+    LandscapeGrid,
+    OptimizeConfig,
+    SweepPoint,
+    landscape,
+    naive_optimize,
+    optimize,
+    time_sweep,
+)
 from .errors import SteerctlError
 from .lindblad import (
     ControlHamiltonian,
@@ -325,24 +333,15 @@ def _build_run_config(
     state = _parse_state(scenario.get("state"))
     drift = _parse_drift(scenario.get("drift"))
     control_block = scenario.get("control")
-    control = None if control_block is None else ControlHamiltonian(tuple(control_block))
+    control = None if control_block is None else ControlHamiltonian(control_block)
 
     pulse_block = raw.get("pulse")
-    pulse = (
-        None
-        if pulse_block is None
-        else PulseSequence(pulse_block["dt"], tuple(pulse_block["amplitudes"]))
-    )
+    pulse = None if pulse_block is None else PulseSequence(**pulse_block)
 
     opt_block = raw.get("optimize")
-    opt = None
-    if opt_block is not None:
-        kwargs = dict(opt_block)
-        if "amp_bounds" in kwargs:
-            kwargs["amp_bounds"] = tuple(kwargs["amp_bounds"])
-        opt = OptimizeConfig(**kwargs)
-        if seed_override is not None:
-            opt = replace(opt, seed=int(seed_override))
+    opt = None if opt_block is None else OptimizeConfig(**opt_block)
+    if opt is not None and seed_override is not None:
+        opt = replace(opt, seed=seed_override)
 
     land_block = raw.get("landscape")
     landscape_params = None
@@ -359,10 +358,7 @@ def _build_run_config(
     sweep_block = raw.get("sweep")
     sweep_params = None
     if sweep_block is not None:
-        sweep_params = (
-            [float(t) for t in sweep_block["t_grid"]],
-            bool(sweep_block.get("include_control", True)),
-        )
+        sweep_params = (sweep_block["t_grid"], sweep_block.get("include_control", True))
 
     out_prefix = out_override or raw.get("output") or command
     return RunConfig(
@@ -427,10 +423,6 @@ def _csv_line(values: Iterable[float]) -> str:
     return ",".join(map(_fmt, values)) + "\n"
 
 
-def _pulse_payload(p: PulseSequence) -> dict[str, Any]:
-    return {"dt": p.dt, "amplitudes": list(p.amplitudes)}
-
-
 def _cmd_check(rc: RunConfig) -> None:
     c = compat.c_functional(rc.x1, rc.x2)
     compatible = compat.is_jointly_measurable(rc.x1, rc.x2)
@@ -457,7 +449,7 @@ def _cmd_robustness(rc: RunConfig) -> None:
         {
             "command": "robustness",
             "bias": rc.bias,
-            "pulse": _pulse_payload(pulse),
+            "pulse": asdict(pulse),
             "robustness": value,
         },
     )
@@ -477,10 +469,10 @@ def _cmd_evolve(rc: RunConfig) -> None:
         {
             "command": "evolve",
             "bias": rc.bias,
-            "pulse": _pulse_payload(pulse),
+            "pulse": asdict(pulse),
             "transfer_matrix": channel.tolist(),
-            "evolved_x1": list(y1.as_tuple()),
-            "evolved_x2": list(y2.as_tuple()),
+            "evolved_x1": y1.as_tuple(),
+            "evolved_x2": y2.as_tuple(),
             "robustness": value,
         },
     )
@@ -491,20 +483,7 @@ def _cmd_optimize(rc: RunConfig, naive: bool) -> None:
     cfg = _require(rc.opt, "optimize", rc.command)
     runner = naive_optimize if naive else optimize
     result = runner(_scenario(rc), cfg)
-    _write_json(
-        rc.out_prefix + ".json",
-        {
-            "command": rc.command,
-            "best_value": result.best_value,
-            "baseline_value": result.baseline_value,
-            "best_pulse": _pulse_payload(result.best_pulse),
-            "start_values": list(result.start_values),
-            "iterations_per_start": list(result.iterations_per_start),
-            "evaluations_per_start": list(result.evaluations_per_start),
-            "descents_per_start": list(result.descents_per_start),
-            "status_per_start": list(result.status_per_start),
-        },
-    )
+    _write_json(rc.out_prefix + ".json", {"command": rc.command, **asdict(result)})
     label = "naive-control" if naive else "optimized"
     print(
         f"{label} robustness = {_fmt(result.best_value)} "
@@ -537,11 +516,8 @@ def _cmd_sweep(rc: RunConfig) -> None:
     if include_control:
         cfg = _require(rc.opt, "optimize", rc.command)
         rows = time_sweep(scenario, cfg, t_grid)
-        _write_csv(
-            rc.out_prefix + ".csv",
-            "T,uncontrolled,naive,optimized",
-            [_csv_line((r.T, r.uncontrolled, r.naive, r.optimized)) for r in rows],
-        )
+        header = ",".join(f.name for f in fields(SweepPoint))
+        _write_csv(rc.out_prefix + ".csv", header, [_csv_line(astuple(r)) for r in rows])
         best = max(r.optimized for r in rows)
         print(f"sweep best optimized robustness = {_fmt(best)}")
     else:

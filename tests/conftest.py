@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -21,7 +22,9 @@ from steerctl import (
     PulseSequence,
     SteeringScenario,
     c_functional,
+    control_matrix,
     pauli_transfer_matrix,
+    resource_map,
     sharp_effect,
 )
 
@@ -217,6 +220,79 @@ def choi_matrix(transfer_schrodinger: np.ndarray) -> np.ndarray:
             unit[a, b] = 1.0
             choi += np.kron(unit, apply(unit))
     return choi
+
+
+# --- 40-digit end-to-end oracle ---------------------------------------------
+
+
+def _oracle_c(y1: list, y2: list) -> mpmath.mpf:
+    """C of the module docstring of compat, from Minkowski forms in mpmath."""
+
+    def form(x: list, y: list) -> mpmath.mpf:
+        return x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
+
+    y1p, y2p = ([2 - x[0], -x[1], -x[2], -x[3]] for x in (y1, y2))
+    rad = form(y1, y1) * form(y1p, y1p) * form(y2, y2) * form(y2p, y2p)
+    return (
+        mpmath.sqrt(max(rad, 0))
+        - form(y1, y1p) * form(y2, y2p)
+        + form(y1, y2p) * form(y1p, y2)
+        + form(y1, y2) * form(y1p, y2p)
+    )
+
+
+def _oracle_root(y1: list, y2: list, p: mpmath.mpf) -> mpmath.mpf:
+    """Smallest noise weight making C >= 0: 130 bisection steps on [0, 1/2]."""
+
+    def c_at(lam: mpmath.mpf) -> mpmath.mpf:
+        u = 1 - lam
+        return _oracle_c(*([u * x[0] + 2 * lam * p] + [u * v for v in x[1:]] for x in (y1, y2)))
+
+    if c_at(0) >= 0:
+        return mpmath.mpf(0)
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1) / 2
+    assert c_at(hi) >= 0, "noise at weight 1/2 leaves the pair incompatible"
+    for _ in range(130):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if c_at(mid) >= 0 else (mid, hi)
+    return (lo + hi) / 2
+
+
+def oracle_value_and_gradient(
+    s: SteeringScenario, pulse: PulseSequence
+) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
+    """Steering robustness of s after pulse at 40 digits, with its amplitude gradient.
+
+    The channel is the product E_1 ... E_m of mpmath.expm slot factors
+    exp(dt * (L_0 + c_k K)), the effects are R @ (channel @ x_i) with R the
+    scenario's resource map, and the root is bisected on C.  The gradient
+    is the central difference with step 1e-12 in each amplitude.  The
+    float inputs (generators, resource map, effects, pulse) are taken as
+    exact.
+    """
+    with mpmath.workdps(40):
+        l0 = mpmath.matrix(s.drift.matrix.tolist())
+        k = mpmath.matrix(control_matrix(s.control).tolist())
+        r = mpmath.matrix(resource_map(s.rho).tolist())
+        xs = [mpmath.matrix(x.as_array().tolist()) for x in (s.x1, s.x2)]
+        dt, h, p = mpmath.mpf(pulse.dt), mpmath.mpf("1e-12"), (1 + mpmath.mpf(s.b)) / 2
+
+        def factor(c: mpmath.mpf) -> mpmath.matrix:
+            return mpmath.expm(dt * (l0 + c * k))
+
+        def value(factors: list) -> mpmath.mpf:
+            m = r
+            for f in factors:
+                m = m * f
+            return _oracle_root(*(list(m * x) for x in xs), p)
+
+        amps = [mpmath.mpf(c) for c in pulse.amplitudes]
+        factors = [factor(c) for c in amps]
+        grad = []
+        for i, c in enumerate(amps):
+            up, down = (value(factors[:i] + [factor(c + e)] + factors[i + 1 :]) for e in (h, -h))
+            grad.append((up - down) / (2 * h))
+        return value(factors), grad
 
 
 # --- Hypothesis strategies for property tests --------------------------------

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE
-from steerctl import cli, landscape, time_sweep
+from steerctl import (
+    OptimizeResult,
+    PulseSequence,
+    cli,
+    landscape,
+    steering_robustness,
+    time_sweep,
+)
 from steerctl.cli import COMMANDS, CONFIG_SCHEMA, main
 
 DATA = Path(__file__).parent / "data"
@@ -184,6 +192,21 @@ def test_naive_command(tmp_path, capsys):
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["command"] == "naive"
     assert "naive-control" in capsys.readouterr().out
+
+
+def test_naive_report_is_the_optimize_result_and_values_its_pulse(tmp_path):
+    raw = {
+        "scenario": {**AD_SCENARIO, "bias": 0.25},
+        "optimize": {"T": 1.0, "m": 4, "n_starts": 2, "seed": 0, "max_iters": 40},
+    }
+    assert run_cli("naive", write_config(tmp_path, raw), tmp_path / "r") == 0
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert set(payload) == {"command"} | {f.name for f in fields(OptimizeResult)}
+    # The naive baseline's best_value is the robustness of the pulse it
+    # reports, through the same evaluator, so the two agree bit for bit.
+    scenario = cli._scenario(cli._build_run_config(raw, "naive", None, None))
+    pulse = PulseSequence(**payload["best_pulse"])
+    assert payload["best_value"] == steering_robustness(scenario, pulse)
 
 
 def test_landscape_command_csv(tmp_path):
