@@ -353,11 +353,15 @@ class _SlotTables:
         centers, scaled = self.locate(amplitudes)
         keys = centers.tolist()
         index, table = self._built
-        missing = set(keys).difference(index)
-        if missing:
+        # Cached centers first; this stays ahead of any arithmetic on the
+        # offsets, so a non-finite amplitude raises before inf - inf is formed.
+        try:
+            slots = [index[j] for j in keys]
+        except KeyError:
+            missing = set(keys).difference(index)
             # A NaN center never equals a cached one, so it always lands here.
             if not all(map(math.isfinite, missing)):
-                raise InvalidEffectError("a slot amplitude is not finite")
+                raise InvalidEffectError("a slot amplitude is not finite") from None
             # A fresh pair, swapped in whole, so concurrent callers stay consistent.
             new = sorted(missing)
             if len(index) + len(new) > _MAX_CENTERS:
@@ -365,12 +369,13 @@ class _SlotTables:
             index = {**index, **{j: len(index) + i for i, j in enumerate(new)}}
             table = np.concatenate([table, self._tables(np.array(new))])
             self._built = (index, table)
-        powers = np.empty((_TABLE_TERMS, len(keys)))
-        powers[0] = 1.0
-        powers[1:] = scaled - centers
+            slots = [index[j] for j in keys]
         # Each slot's powers u**i as one contiguous row, for its own product.
-        powers = np.ascontiguousarray(np.multiply.accumulate(powers, out=powers).T)
-        rows = table.take([index[j] for j in keys], axis=0).reshape(-1, _TABLE_TERMS, 4, 8)
+        powers = np.empty((len(keys), _TABLE_TERMS))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = (scaled - centers)[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        rows = table.take(slots, axis=0).reshape(-1, _TABLE_TERMS, 4, 8)
         # Each table row's first `width` columns of [E | F], as one matrix per slot.
         width = out.shape[2]
         rows = rows[..., :width].reshape(len(keys), _TABLE_TERMS, 4 * width)
@@ -403,6 +408,11 @@ def _slot_factors(
     return tables.blocks(np.asarray(amplitudes, dtype=float), 4)
 
 
+#: The empty prefix of every scan, shared read-only.
+_EYE = np.eye(4)
+_EYE.setflags(write=False)
+
+
 def _scan(out: np.ndarray) -> np.ndarray:
     """Turn slot factors out[1:] into their prefix products in place, with out[0] = I.
 
@@ -411,7 +421,7 @@ def _scan(out: np.ndarray) -> np.ndarray:
     stride d each entry holds the product of up to 2d consecutive factors,
     so m sequential 4x4 products become ceil(log2(m)) stacked ones.
     """
-    out[0] = np.eye(4)
+    out[0] = _EYE
     scan = out[1:]
     m = len(scan)
     stride = 1

@@ -258,6 +258,47 @@ def _oracle_root(y1: list, y2: list, p: mpmath.mpf) -> mpmath.mpf:
     return (lo + hi) / 2
 
 
+def _oracle_model(
+    s: SteeringScenario, dt: mpmath.mpf, t_drift: float
+) -> tuple[Callable, Callable]:
+    """The slot factor c -> exp(dt * (L_0 + c K)) and the value of a list of factors.
+
+    The value is the robustness of the effects R @ (W @ F_1 ... F_k @ x_i),
+    with R the scenario's resource map and W = exp(t_drift * L_0) the
+    leading drift window (none when t_drift is 0); the root is bisected on
+    C.  Both run at the caller's mpmath precision.
+    """
+    l0 = mpmath.matrix(s.drift.matrix.tolist())
+    k = mpmath.matrix(control_matrix(s.control).tolist())
+    r = mpmath.matrix(resource_map(s.rho).tolist())
+    xs = [mpmath.matrix(x.as_array().tolist()) for x in (s.x1, s.x2)]
+    p = (1 + mpmath.mpf(s.b)) / 2
+    lead = [mpmath.expm(mpmath.mpf(t_drift) * l0)] if t_drift else []
+
+    def factor(c: mpmath.mpf) -> mpmath.matrix:
+        return mpmath.expm(dt * (l0 + c * k))
+
+    def value(factors: list) -> mpmath.mpf:
+        m = r
+        for f in lead + factors:
+            m = m * f
+        return _oracle_root(*(list(m * x) for x in xs), p)
+
+    return factor, value
+
+
+def oracle_value(s: SteeringScenario, pulse: PulseSequence, t_drift: float = 0.0) -> mpmath.mpf:
+    """Steering robustness of s after a drift window of length t_drift, then pulse, at 40 digits.
+
+    The drift window is exp(t_drift * L_0), applied to the effects before
+    the pulse's slot factors, as in a landscape cell.  The float inputs are
+    taken as exact.
+    """
+    with mpmath.workdps(40):
+        factor, value = _oracle_model(s, mpmath.mpf(pulse.dt), t_drift)
+        return value([factor(mpmath.mpf(c)) for c in pulse.amplitudes])
+
+
 def oracle_value_and_gradient(
     s: SteeringScenario, pulse: PulseSequence
 ) -> tuple[mpmath.mpf, list[mpmath.mpf]]:
@@ -271,21 +312,8 @@ def oracle_value_and_gradient(
     exact.
     """
     with mpmath.workdps(40):
-        l0 = mpmath.matrix(s.drift.matrix.tolist())
-        k = mpmath.matrix(control_matrix(s.control).tolist())
-        r = mpmath.matrix(resource_map(s.rho).tolist())
-        xs = [mpmath.matrix(x.as_array().tolist()) for x in (s.x1, s.x2)]
-        dt, h, p = mpmath.mpf(pulse.dt), mpmath.mpf("1e-12"), (1 + mpmath.mpf(s.b)) / 2
-
-        def factor(c: mpmath.mpf) -> mpmath.matrix:
-            return mpmath.expm(dt * (l0 + c * k))
-
-        def value(factors: list) -> mpmath.mpf:
-            m = r
-            for f in factors:
-                m = m * f
-            return _oracle_root(*(list(m * x) for x in xs), p)
-
+        factor, value = _oracle_model(s, mpmath.mpf(pulse.dt), 0.0)
+        h = mpmath.mpf("1e-12")
         amps = [mpmath.mpf(c) for c in pulse.amplitudes]
         factors = [factor(c) for c in amps]
         grad = []

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE, controls, drifts, pulses, xz_scenario
+from conftest import (
+    PROPERTY_SETTINGS,
+    SHARP_PAIR_VALUE,
+    controls,
+    drifts,
+    oracle_value,
+    pulses,
+    xz_scenario,
+)
 from steerctl import (
     LandscapeGrid,
     OptimizeConfig,
@@ -140,6 +148,101 @@ def test_one_iteration_cap_gives_status_one(runner):
     res = runner(xz_scenario("ad"), replace(SMALL, max_iters=1))
     assert res.status_per_start == (0,) + (1,) * SMALL.n_starts
     assert res.iterations_per_start == (0,) + (1,) * SMALL.n_starts
+
+
+def _steering_cost(s, dt):
+    """The direct optimizer's cost: the negated robustness and its gradient."""
+
+    def fun_and_grad(c):
+        value, grad = s._evaluator.pulse_value_and_gradient(dt, c)
+        return -value, -grad
+
+    return fun_and_grad
+
+
+def _naive_cost(s, dt):
+    evaluator = s._evaluator
+    return lambda c: control._identity_distance(
+        evaluator.drift_generator, evaluator.control_generator, dt, c
+    )
+
+
+@pytest.mark.blas_kernel_independent
+@pytest.mark.parametrize(
+    "kind, cost, seed",
+    [
+        ("ad", _steering_cost, 0),
+        ("ad", _steering_cost, 1),
+        ("ad", _steering_cost, 2),
+        ("dp", _steering_cost, 0),
+        ("ad", _naive_cost, 0),
+        ("ad", _naive_cost, 1),
+    ],
+    ids=["ad-0", "ad-1", "ad-2", "dp-plateau", "naive-0", "naive-1"],
+)
+def test_descent_is_minimize_with_jac_true_bit_for_bit(kind, cost, seed):
+    # _descend hands L-BFGS-B the gradient from its own one-entry memo; the
+    # descent must be scipy's own jac=True descent on the same cost, with
+    # every fun_and_grad call counted.
+    from scipy.optimize import minimize
+
+    s = xz_scenario(kind)
+    fun_and_grad = cost(s, 0.28)
+    x0 = np.random.default_rng(seed).uniform(-15.0, 15.0, 10)
+    if kind == "dp":
+        assert fun_and_grad(x0)[0] == 0.0  # a start on the zero plateau
+    calls = []
+
+    def counted(c):
+        calls.append(None)
+        return fun_and_grad(c)
+
+    reference = minimize(
+        counted,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-15.0, 15.0)] * x0.size,
+        options={
+            "maxiter": 200,
+            "gtol": control._GTOL,
+            "ftol": control._FTOL,
+            "maxcor": control._MEMORY,
+        },
+    )
+    run = control._descend(fun_and_grad, x0, (-15.0, 15.0), 200)
+    assert run.x.tobytes() == reference.x.tobytes()
+    assert run.value == reference.fun
+    assert run.iterations == reference.nit
+    assert run.evaluations == reference.nfev == len(calls)
+    assert run.status == reference.status
+
+
+def test_a_gradient_away_from_the_last_value_point_is_evaluated_afresh(monkeypatch):
+    # L-BFGS-B asks for the gradient where it last asked for the value, but
+    # the memo must not rely on it: any other point is evaluated and counted.
+    import scipy.optimize
+
+    calls = []
+
+    def fun_and_grad(x):
+        calls.append(x.copy())
+        return float(x @ x), 2.0 * x
+
+    def probing(fun, x0, jac, **kwargs):
+        a, b = x0, x0 + 1.0
+        fun(a)
+        at_b = jac(b)
+        again_at_b = jac(b.copy())  # b is now the last value point
+        at_a = jac(a)
+        assert np.array_equal(at_b, 2.0 * b) and again_at_b is at_b
+        assert np.array_equal(at_a, 2.0 * a)
+        return scipy.optimize.OptimizeResult(x=a, fun=fun(a), nit=0, nfev=1, status=0)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", probing)
+    run = control._descend(fun_and_grad, np.array([0.5, -1.0]), (-2.0, 2.0), 10)
+    assert [c.tolist() for c in calls] == [[0.5, -1.0], [1.5, 0.0], [0.5, -1.0], [0.5, -1.0]]
+    assert run.evaluations == len(calls) == 4
 
 
 def test_baseline_is_the_zero_pulse_value():
@@ -302,6 +405,22 @@ def test_landscape_grid_geometry_and_values():
         i = int(np.where(axis == c1)[0][0])
         j = int(np.where(axis == c2)[0][0])
         assert grid.values[i, j] == grid.max_value
+
+
+@pytest.mark.blas_kernel_independent
+@pytest.mark.parametrize("kind", ["ad", "dp"])
+def test_landscape_cells_match_the_40_digit_oracle(kind):
+    # Six cells of the benchmark's drift window: the amplitude-damping peak
+    # (-1.5, 12.5) among them, and under dephasing a row on the zero
+    # plateau.  A cell is the drift window exp(t_drift * L_0), then the
+    # two-slot pulse (c1, c2) with slots of the float length (T - t_drift) / 2.
+    s = xz_scenario(kind)
+    t_drift, T = 2.6, 2.8
+    grid = landscape(s, t_drift, T, c1_axis=[-11.25, -1.5, 3.0], c2_axis=[-10.5, 12.5])
+    dt = 0.5 * (T - t_drift)
+    for (i, j), value in np.ndenumerate(grid.values):
+        pulse = PulseSequence(dt, (float(grid.c1_axis[i]), float(grid.c2_axis[j])))
+        assert abs(value - float(oracle_value(s, pulse, t_drift))) <= 1e-14
 
 
 def test_landscape_mirror_degeneracy_is_exact():

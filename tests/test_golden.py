@@ -16,11 +16,15 @@ DATA = Path(__file__).parent / "data"
 
 #: The landscape and robustness goldens hold byte for byte on any OpenBLAS
 #: kernel with fused multiply-add; scipy's L-BFGS-B rounds by kernel, so the
-#: optimize golden is exact only on the kernel that wrote it.
+#: optimize and naive goldens are exact only on the kernel that wrote them.
+#: The naive one moves further: under Haswell its best pulse's amplitudes
+#: move by up to 1.8e-3, its best value by 5.8e-8 and its evaluation counts
+#: change, so no looser check holds it on other kernels either.
 ANY_KERNEL = pytest.mark.blas_kernel_independent
 
 GOLDEN = [
     pytest.param("landscape_dp", ".csv", marks=ANY_KERNEL, id="landscape_dp"),
+    pytest.param("naive_ad", ".json", id="naive_ad"),
     pytest.param("optimize_ad", ".json", id="optimize_ad"),
     pytest.param("robustness_ad", ".json", marks=ANY_KERNEL, id="robustness_ad"),
 ]
