@@ -39,6 +39,7 @@ from .control import (
     LandscapeGrid,
     OptimizeConfig,
     SweepPoint,
+    _drift_window,
     landscape,
     naive_optimize,
     optimize,
@@ -346,10 +347,7 @@ def _build_run_config(
     land_block = raw.get("landscape")
     landscape_params = None
     if land_block is not None:
-        t_drift = float(land_block["t_drift"])
-        horizon = float(land_block["T"])
-        if not t_drift < horizon:
-            raise ValueError(f"landscape needs t_drift < T, got {t_drift} >= {horizon}")
+        t_drift, horizon = _drift_window(land_block["t_drift"], land_block["T"])
         c1_axis = _parse_axis(land_block["c1"], "landscape/c1")
         c2_axis = _parse_axis(land_block["c2"], "landscape/c2")
         _check_cell_count(c1_axis.size * c2_axis.size, "landscape")
@@ -423,37 +421,25 @@ def _csv_line(values: Iterable[float]) -> str:
     return ",".join(map(_fmt, values)) + "\n"
 
 
+def _report(rc: RunConfig, subject: str, **fields: Any) -> None:
+    """Write <out>.json with the command, the bias and fields; print the robustness headline."""
+    _write_json(rc.out_prefix + ".json", {"command": rc.command, "bias": rc.bias, **fields})
+    print(f"{subject} robustness = {_fmt(fields['robustness'])}")
+
+
 def _cmd_check(rc: RunConfig) -> None:
     c = compat.c_functional(rc.x1, rc.x2)
     compatible = compat.is_jointly_measurable(rc.x1, rc.x2)
     value = compat.robustness(rc.x1, rc.x2, rc.bias)
-    _write_json(
-        rc.out_prefix + ".json",
-        {
-            "command": "check",
-            "bias": rc.bias,
-            "c_functional": c,
-            "jointly_measurable": compatible,
-            "robustness": value,
-        },
-    )
     label = "jointly measurable" if compatible else "incompatible"
-    print(f"measurement pair {label}: robustness = {_fmt(value)}")
+    headline = f"measurement pair {label}:"
+    _report(rc, headline, c_functional=c, jointly_measurable=compatible, robustness=value)
 
 
 def _cmd_robustness(rc: RunConfig) -> None:
     pulse = _require(rc.pulse, "pulse", rc.command)
     value = steering_robustness(_scenario(rc), pulse)
-    _write_json(
-        rc.out_prefix + ".json",
-        {
-            "command": "robustness",
-            "bias": rc.bias,
-            "pulse": asdict(pulse),
-            "robustness": value,
-        },
-    )
-    print(f"steering robustness = {_fmt(value)}")
+    _report(rc, "steering", pulse=asdict(pulse), robustness=value)
 
 
 def _cmd_evolve(rc: RunConfig) -> None:
@@ -464,19 +450,15 @@ def _cmd_evolve(rc: RunConfig) -> None:
     y1 = FourVector.from_array(channel @ rc.x1.as_array())
     y2 = FourVector.from_array(channel @ rc.x2.as_array())
     value = compat.robustness(y1, y2, rc.bias)
-    _write_json(
-        rc.out_prefix + ".json",
-        {
-            "command": "evolve",
-            "bias": rc.bias,
-            "pulse": asdict(pulse),
-            "transfer_matrix": channel.tolist(),
-            "evolved_x1": y1.as_tuple(),
-            "evolved_x2": y2.as_tuple(),
-            "robustness": value,
-        },
+    _report(
+        rc,
+        "evolved-pair",
+        pulse=asdict(pulse),
+        transfer_matrix=channel.tolist(),
+        evolved_x1=y1.as_tuple(),
+        evolved_x2=y2.as_tuple(),
+        robustness=value,
     )
-    print(f"evolved-pair robustness = {_fmt(value)}")
 
 
 def _cmd_optimize(rc: RunConfig, naive: bool) -> None:

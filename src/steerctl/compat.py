@@ -20,24 +20,27 @@ gradient of the robustness with respect to the effects follows from implicit
 differentiation of C(N_lam(x1), N_lam(x2)) = 0 at the root, through the
 partials of C in the same five scalars.
 
-Two root finders share the lam = 0 check, the check at lam = 1/2, the
-computed C and one loop, Illinois false position with trial points on a
-grid of 2**-47 (_false_position); _robustness_tuples picks one per pair by
-one exact test.
+_robustness_tuples is the one front end.  It evaluates C at lam = 0 and
+returns 0 for a pair with C >= -COMPAT_TOL there; for any other pair it
+hands C along the noise (_along_noise) and that value at lam = 0 to one of
+two root finders, picked by one exact test.  The finders only narrow a
+bracket: each checks lam = 1/2 its own way, and both run one loop, Illinois
+false position with trial points on a grid of 2**-47 (_false_position).
 
 - Unbiased noise (p == 1/2) with both identity coefficients exactly 1:
   _smallest_root, which brackets the first sign change of C on a 64-point
-  grid, runs the loop on that bracket, and returns what bisecting the scan
-  bracket gives, reading the sign of C only inside a checked window around
-  the located root, about 19 evaluations of C per root.  Every pair of a
-  unital drift such as dephasing under unbiased noise is such a pair.
-- Every other pair: _grid_root, which runs the loop on [0, 1/2] down to one
-  grid step and returns that step's midpoint, about 10 evaluations of C per
-  root.  Amplitude damping's transported pairs, under any bias, are such
-  pairs.
+  grid, reading lam = 1/2 last, runs the loop on that bracket, and returns
+  what bisecting the scan bracket gives, reading the sign of C only inside
+  a checked window around the located root, about 19 evaluations of C per
+  root.  Every pair of a unital drift such as dephasing under unbiased
+  noise is such a pair.
+- Every other pair: _grid_root, which reads lam = 1/2 first, runs the loop
+  on [0, 1/2] down to one grid step and returns that step's midpoint, about
+  10 evaluations of C per root.  Amplitude damping's transported pairs,
+  under any bias, are such pairs.
 
-Both take effects that their callers have checked at EFFECT_TOL.  The pairs
-left to _smallest_root have a closed form of their own,
+The front end takes effects that its callers have checked at EFFECT_TOL.
+The pairs left to _smallest_root have a closed form of their own,
 1 - 2/(|a+b| + |a-b|) (P. Busch, Phys. Rev. D 33, 2253 (1986)), which is to
 replace it; _smallest_root remains only because the benchmark keeps each
 job's output, so a faster landscape job, where every pair is such a pair,
@@ -227,21 +230,16 @@ def _false_position(
     return lo, hi
 
 
-def _grid_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
-    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
+def _grid_root(c_at: Callable[[float], float], c_lo: float) -> float:
+    """Smallest lam in (0, 1/2] with c_at(lam) = 0, given c_at(0) = c_lo < -COMPAT_TOL.
 
-    Serves every pair but the unbiased unit-identity ones.  After
-    _smallest_root's lam = 0 check and the check at lam = 1/2, on the same
-    _c_scalar calls, so 0.0 and NoiseInsufficientError come out where it
-    gives them, _false_position narrows [0, 1/2] to one grid step; its
+    Serves every pair but the unbiased unit-identity ones.  After the check
+    at lam = 1/2, which raises NoiseInsufficientError where _smallest_root's
+    scan does, _false_position narrows [0, 1/2] to one grid step; its
     midpoint is the root.  Every trial point is a grid point, so the loop
     ends within _GRID_STEPS steps, on the grid step across the sign change
     of the computed C.
     """
-    c_lo = _c_scalar(a0, va, b0, vb, d)
-    if c_lo >= -COMPAT_TOL:
-        return 0.0
-    c_at = _along_noise(a0, va, b0, vb, d, p)
     c_hi = c_at(0.5)
     if c_hi < 0.0:
         raise NoiseInsufficientError(
@@ -251,14 +249,14 @@ def _grid_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -
     return 0.5 * (lo + hi)
 
 
-def _smallest_root(a0: float, va: float, b0: float, vb: float, d: float, p: float) -> float:
-    """Smallest lam in (0, 1/2] with C = 0, or 0.0 if already compatible.
+def _smallest_root(c_at: Callable[[float], float], c_lo: float) -> float:
+    """Smallest lam in (0, 1/2] with c_at(lam) = 0, given c_at(0) = c_lo < -COMPAT_TOL.
 
     Serves unbiased noise with both identity coefficients exactly 1, the
-    pairs the closed form 1 - 2/(|a+b| + |a-b|) covers.  After the lam = 0
-    check, a scan of the 64-point grid brackets the first sign change of C.
-    It reads grid points 2, 4, ..., 62 and 63 and stops at the first one
-    with C >= 0 (see the module docstring).
+    pairs the closed form 1 - 2/(|a+b| + |a-b|) covers.  A scan of the
+    64-point grid brackets the first sign change of C.  It reads grid
+    points 2, 4, ..., 62 and 63 and stops at the first one with C >= 0
+    (see the module docstring).
     _false_position then narrows the scan bracket to _WINDOW, and C is
     checked to be negative at _WINDOW below its midpoint and nonnegative at
     _WINDOW above it; if not, the window is the whole scan bracket.  Last,
@@ -269,10 +267,6 @@ def _smallest_root(a0: float, va: float, b0: float, vb: float, d: float, p: floa
     outside the window, where the plain bisection's root would be arbitrary
     anyway.
     """
-    c_lo = _c_scalar(a0, va, b0, vb, d)
-    if c_lo >= -COMPAT_TOL:
-        return 0.0
-    c_at = _along_noise(a0, va, b0, vb, d, p)
     lo = 0.0
     hi = None
     # Scan upward two grid steps at a time.
@@ -317,17 +311,22 @@ def _robustness_tuples(
 
     Both effects must lie in the cone at EFFECT_TOL
     (qubit_algebra._in_effect_cone), as robustness and
-    ScenarioEvaluator._transported_value check them first.  Unbiased noise
-    with both identity coefficients exactly 1 goes to _smallest_root, every
-    other pair to _grid_root.  Python floats keep every operation off
-    numpy's scalar machinery; np.float64 components give the same bits,
-    only slower.
+    ScenarioEvaluator._transported_value check them first.  C at lam = 0
+    decides compatibility; an incompatible pair's C along the noise goes,
+    with that value, to _smallest_root under unbiased noise with both
+    identity coefficients exactly 1, and to _grid_root otherwise.  Python
+    floats keep every operation off numpy's scalar machinery; np.float64
+    components give the same bits, only slower.
     """
     a0, va, b0, vb, d = _pair_scalars(x1, x2)
+    c_lo = _c_scalar(a0, va, b0, vb, d)
+    if c_lo >= -COMPAT_TOL:
+        return 0.0
     p = 0.5 * (1.0 + b)
+    c_at = _along_noise(a0, va, b0, vb, d, p)
     if p == 0.5 and a0 == 1.0 and b0 == 1.0:
-        return _smallest_root(a0, va, b0, vb, d, p)
-    return _grid_root(a0, va, b0, vb, d, p)
+        return _smallest_root(c_at, c_lo)
+    return _grid_root(c_at, c_lo)
 
 
 def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import PulseSequence, _count, _propagate_with_vjp, _slot_factors
+from .lindblad import PulseSequence, _count, _non_finite, _propagate_with_vjp, _slot_factors
 from .steering import SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
@@ -380,6 +380,18 @@ def naive_optimize(s: SteeringScenario, cfg: OptimizeConfig) -> OptimizeResult:
     return _multi_start(s, cfg, "naive")
 
 
+def _drift_window(t_drift: float, T: float) -> tuple[float, float]:
+    """(t_drift, T) as floats, checked: 0 <= t_drift < T < inf.
+
+    landscape checks its arguments with it, and the CLI a landscape block
+    when it builds the run, before any command runs.
+    """
+    t_drift, T = float(t_drift), float(T)
+    if not 0.0 <= t_drift < T < np.inf:
+        raise ValueError(f"need 0 <= t_drift < T < inf, got t_drift={t_drift}, T={T}")
+    return t_drift, T
+
+
 def landscape(
     s: SteeringScenario,
     t_drift: float,
@@ -394,10 +406,7 @@ def landscape(
     (T - t_drift)/2.  Every factor is a pulse slot exponential, so at
     t_drift = 0 a cell is the two-slot pulse (c1, c2)'s value bit for bit.
     """
-    t_drift = float(t_drift)
-    T = float(T)
-    if not 0.0 <= t_drift < T < np.inf:
-        raise ValueError(f"need 0 <= t_drift < T < inf, got t_drift={t_drift}, T={T}")
+    t_drift, T = _drift_window(t_drift, T)
     c1s = np.asarray(c1_axis, dtype=float)
     c2s = np.asarray(c2_axis, dtype=float)
     for name, axis in (("c1_axis", c1s), ("c2_axis", c2s)):
@@ -417,10 +426,14 @@ def landscape(
     slots = _slot_factors(l0, k, dt, amps)
     rows, cols = where[: c1s.size].tolist(), where[c1s.size :].tolist()
     values = np.empty((c1s.size, c2s.size))
-    for i, row in enumerate(rows):
-        head = drift_part @ slots[row]
-        for j, col in enumerate(cols):
-            values[i, j] = evaluator.channel_value(head @ slots[col])
+    try:
+        for i, row in enumerate(rows):
+            head = drift_part @ slots[row]
+            for j, col in enumerate(cols):
+                values[i, j] = evaluator.channel_value(head @ slots[col])
+    except (RuntimeWarning, FloatingPointError) as exc:
+        # Slots of a drift that is not completely positive can overflow.
+        raise _non_finite(exc) from None
     return LandscapeGrid(t_drift=t_drift, T=T, c1_axis=c1s, c2_axis=c2s, values=values)
 
 

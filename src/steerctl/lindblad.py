@@ -63,6 +63,15 @@ TransferMatrix = np.ndarray
 _UNITAL_TOL = 1e-12
 
 
+def _non_finite(exc: Exception) -> InvalidEffectError:
+    """The typed error for numpy's report exc of an overflow or a NaN in a channel product.
+
+    numpy raises its report as an exception where floating-point warnings
+    are errors; under other filters the NaN meets a finiteness check later.
+    """
+    return InvalidEffectError(f"a channel product is non-finite ({exc})")
+
+
 def _rate(gamma: float) -> float:
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 0.0:
@@ -80,7 +89,9 @@ class DriftGenerator:
     unitality of the dual channel; it is stored read-only.  Complete
     positivity is not checked: a generator that is not completely positive
     can make a transported effect invalid, which ScenarioEvaluator reports
-    as InternalConsistencyError.
+    as InternalConsistencyError, or a channel product overflow, which every
+    robustness evaluation reports as InvalidEffectError under any warning
+    filter.
     """
 
     matrix: TransferMatrix
@@ -445,7 +456,11 @@ def _slot_scans(
     scans = np.empty((len(blocks) + 1, 2, 4, 4))
     scans[1:, 0] = blocks[..., :4]
     scans[1:, 1] = blocks[::-1, :, :4].transpose(0, 2, 1)
-    _scan(scans)
+    try:
+        _scan(scans)
+    except (RuntimeWarning, FloatingPointError) as exc:
+        # Slots of a drift that is not completely positive can overflow.
+        raise _non_finite(exc) from None
     return scans[:, 0], blocks[..., 4:], scans[-2::-1, 1].transpose(0, 2, 1)
 
 

@@ -41,6 +41,7 @@ from .lindblad import (
     DriftGenerator,
     PulseSequence,
     TransferMatrix,
+    _non_finite,
     _propagate_with_vjp,
     control_matrix,
     pauli_transfer_matrix,
@@ -152,12 +153,9 @@ class ScenarioEvaluator:
             y1 = tuple((self.resource @ (channel @ self._x1)).tolist())
             y2 = tuple((self.resource @ (channel @ self._x2)).tolist())
         except (RuntimeWarning, FloatingPointError) as exc:
-            # numpy's report of a NaN or an overflow in the products (an
-            # infinite channel entry times a zero), raised as an exception
-            # where floating-point warnings are errors.
-            raise InvalidEffectError(
-                f"transported effects of channel {channel.tolist()} are non-finite ({exc})"
-            ) from None
+            # A NaN or an overflow in the products, such as an infinite
+            # channel entry times a zero.
+            raise _non_finite(exc) from None
         if not all(map(math.isfinite, y1 + y2)):
             raise InvalidEffectError(f"transported effects {y1}, {y2} have a non-finite component")
         for y in (y1, y2):
@@ -183,9 +181,15 @@ class ScenarioEvaluator:
     ) -> tuple[float, np.ndarray]:
         """Cost and its exact amplitude gradient; zero gradient off the slopes.
 
-        The gradient is zero on the non-steerable plateau (value 0) and at
-        non-differentiable points (sharp transported effects, which only
-        occur under noiseless dynamics where the cost is locally constant).
+        The gradient is zero on the non-steerable plateau (value 0) and
+        where the implicit gradient raises NotDifferentiableError or
+        DegenerateRootError.  Sharp transported effects, which only occur
+        under noiseless dynamics, where the cost is locally constant, reach
+        the root lam with a noisy Minkowski norm of about
+        2 lam (1 - lam)(1 - |b|), so the gradient falls back to zero once
+        1 - |b| < 1e-9 / (2 lam (1 - lam)): for the sharp x/z pair on the
+        maximally entangled state, lam = 0.414 and the band is
+        1 - |b| < 2.06e-9; at 1 - |b| = 1e-6 the gradient is computed.
         """
         channel, vjp = _propagate_with_vjp(
             self.drift_generator, self.control_generator, dt, amplitudes

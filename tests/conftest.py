@@ -33,6 +33,16 @@ SQRT2 = float(np.sqrt(2.0))
 #: Robustness of a sharp pair along orthogonal Bloch axes, unbiased noise.
 SHARP_PAIR_VALUE = 1.0 - 1.0 / SQRT2
 
+#: A drift that is not completely positive: it grows the Bloch components at
+#: rate 10.  Over 100 slots of length 1 its channel products overflow; over
+#: 20 the channel stays finite and moves an effect out of the cone.
+GROWING_DRIFT = [
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 10.0, 0.0, 0.0],
+    [0.0, 0.0, 10.0, 0.0],
+    [0.0, 0.0, 0.0, 10.0],
+]
+
 #: Identity and Pauli matrices in the package's basis order.
 PAULIS = (
     np.eye(2, dtype=complex),

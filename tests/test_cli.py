@@ -5,7 +5,8 @@ import inspect
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -14,12 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_SETTINGS, SHARP_PAIR_VALUE
+from conftest import GROWING_DRIFT, PROPERTY_SETTINGS, SHARP_PAIR_VALUE
 from steerctl import (
+    BipartiteState,
+    ControlHamiltonian,
+    DriftGenerator,
     OptimizeResult,
     PulseSequence,
+    SteeringScenario,
     cli,
     landscape,
+    sharp_effect,
     steering_robustness,
     time_sweep,
 )
@@ -548,6 +554,43 @@ def test_grid_with_too_many_cells_is_a_usage_error(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "r.csv").exists()
 
 
+#: Configs the schema accepts that building the run rejects, each with the
+#: command asked for (None: none on the command line) and the error line.
+BUILD_ERRORS = {
+    "drift-window": (
+        "check",
+        {
+            "scenario": {"measurements": XZ_MEASUREMENTS},
+            "landscape": {**landscape_block(), "t_drift": 2.8},
+        },
+        "error: invalid configuration: need 0 <= t_drift < T < inf, got t_drift=2.8, T=2.8",
+    ),
+    "axis-max-below-min": (
+        "landscape",
+        {
+            "scenario": AD_SCENARIO,
+            "landscape": {**landscape_block(), "c2": {"min": 1.0, "max": -1.0, "step": 1.0}},
+        },
+        "error: invalid configuration: landscape/c2: axis max -1.0 below min 1.0",
+    ),
+    "no-command": (
+        None,
+        {"scenario": {"measurements": XZ_MEASUREMENTS}},
+        "error: no command given on the command line or in the config",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_ERRORS))
+def test_config_errors_past_the_schema_exit_two_before_any_command_runs(tmp_path, capsys, name):
+    # A bad landscape block stops even a check, which does not read it.
+    command, payload, message = BUILD_ERRORS[name]
+    config = write_config(tmp_path, payload)
+    assert cli.run(config, command, out=str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == [Path(config)]
+
+
 def test_unknown_keys_are_rejected_by_the_schema(tmp_path):
     payload = {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1}
     assert main(["check", "--config", write_config(tmp_path, payload)]) == 2
@@ -971,6 +1014,65 @@ def test_huge_amplitude_exits_three(tmp_path, command, capsys):
     config = write_config(tmp_path, payload)
     assert run_cli(command, config, tmp_path / "r") == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("command", ["robustness", "evolve", "landscape"])
+def test_growing_drift_exits_three_under_any_warning_filter(tmp_path, capsys, command, action):
+    # A drift that is not completely positive overflows the channel products
+    # of a 100-slot pulse and of a landscape with a drift window of 50.
+    # Where numpy's warnings are errors, its report becomes the typed error;
+    # elsewhere the NaN it leaves does.
+    scenario = {**AD_SCENARIO, "drift": {"kind": "custom", "matrix": GROWING_DRIFT}}
+    axis = {"min": 0.0, "max": 1.0, "step": 1.0}
+    payload = {
+        "scenario": scenario,
+        "pulse": {"dt": 1.0, "amplitudes": [0.0] * 100},
+        "landscape": {"t_drift": 50.0, "T": 100.0, "c1": axis, "c2": axis},
+    }
+    config = write_config(tmp_path, payload)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        assert cli.run(config, command, out=str(tmp_path / "r")) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+#: Pure state (|00> + i|11>)/sqrt(2), whose coherences are imaginary, and
+#: its matrix as a config gives it, every entry an [re, im] pair.
+PHASED_BELL = np.outer([1.0, 0.0, 0.0, 1.0j], [1.0, 0.0, 0.0, -1.0j]) / 2.0
+PHASED_BELL_ENTRIES = np.stack([PHASED_BELL.real, PHASED_BELL.imag], axis=-1).tolist()
+
+#: Scenario sections other than AD_SCENARIO's, each with the library object
+#: the CLI must build from it.
+SCENARIO_VARIANTS = {
+    "complex-entries": (
+        {"state": {"kind": "explicit", "matrix": PHASED_BELL_ENTRIES}},
+        BipartiteState(PHASED_BELL),
+    ),
+    "werner": ({"state": {"kind": "werner", "v": 0.9}}, BipartiteState.werner(0.9)),
+    "custom-drift": (
+        {"drift": {"kind": "custom", "matrix": DriftGenerator.dephasing(0.2).matrix.tolist()}},
+        DriftGenerator.dephasing(0.2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_VARIANTS))
+def test_scenario_variants_run_through_the_cli_as_their_library_objects(tmp_path, name):
+    section, built = SCENARIO_VARIANTS[name]
+    pulse = PulseSequence(0.14, (0.5, -1.0, 2.0))
+    payload = {"scenario": {**AD_SCENARIO, **section}, "pulse": asdict(pulse)}
+    assert cli.run(write_config(tmp_path, payload), "robustness", out=str(tmp_path / "r")) == 0
+    parts = dict(
+        rho=BipartiteState.max_entangled(),
+        x1=sharp_effect([1.0, 0.0, 0.0]),
+        x2=sharp_effect([0.0, 0.0, 1.0]),
+        drift=DriftGenerator.amplitude_damping(0.1),
+        control=ControlHamiltonian((0.0, 1.0, 1.0)),
+    )
+    parts["drift" if isinstance(built, DriftGenerator) else "rho"] = built
+    expected = steering_robustness(SteeringScenario(**parts), pulse)
+    assert 0.0 < expected == json.loads((tmp_path / "r.json").read_text())["robustness"]
 
 
 def test_invalid_effect_in_config_exits_three(tmp_path):

@@ -305,8 +305,10 @@ def old_root(x1, x2, b):
 
 
 def general_root(x1, x2, b):
-    """compat._smallest_root on the pair, whichever finder _robustness_tuples picks."""
-    return compat._smallest_root(*compat._pair_scalars(x1, x2), 0.5 * (1.0 + b))
+    """_robustness_tuples with compat._smallest_root as both finders, whichever it picks."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compat, "_grid_root", compat._smallest_root)
+        return compat._robustness_tuples(x1, x2, b)
 
 
 def outcome(f, *args):
@@ -402,8 +404,9 @@ def test_public_robustness_rejects_every_raw_pair_outside_the_effect_tolerance(x
 # --- false position, the window check and the replayed bisection -----------
 # _smallest_root locates each root by false position and bisects only inside
 # a checked window around it; the verbatim bisection above is the oracle.
-# These tests call it directly, through general_root: _robustness_tuples
-# sends their pairs, valid effects under biased noise, to the grid root.
+# These tests reach it through general_root, which runs _robustness_tuples
+# with _smallest_root in place of the grid root that their pairs, valid
+# effects under biased noise, would take.
 
 SCAN_STEP = 0.5 / (_SCAN_POINTS - 1)
 
@@ -439,7 +442,7 @@ def test_replayed_bisection_matches_the_oracle_on_a_seeded_sweep():
         x1, x2 = sweep_effect(rng), sweep_effect(rng)
         b = float(rng.uniform(-0.999, 0.999))
         assert outcome(general_root, x1, x2, b) == outcome(old_root, x1, x2, b)
-        lam = general_root(x1, x2, b)
+        lam = old_root(x1, x2, b)
         if lam <= SCAN_STEP:
             continue
         offset = (0.0, float(rng.uniform(-1.0, 1.0)) * _WINDOW, 3.0 * _BISECT_WIDTH)[rng.integers(3)]
@@ -461,7 +464,7 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
     # the window's lower end; so the check fails, and the whole scan bracket
     # is bisected, as the oracle does under the same double.
     x1, x2, b = (1.0, 0.9, 0.0, 0.0), (1.0, 0.0, 0.3, 0.9), 0.5
-    root = general_root(x1, x2, b)
+    root = old_root(x1, x2, b)
     real = compat._c_scalar
     seen = {"new": [], "old": []}
 
@@ -486,21 +489,18 @@ def test_failed_window_check_replays_the_whole_bisection(monkeypatch):
 
 
 def nonzero_root_inputs(monkeypatch, run):
-    """The finder arguments of every nonzero root that run() finds, with either finder."""
+    """The _robustness_tuples arguments of every nonzero root that run() finds."""
     found = []
+    original = compat._robustness_tuples
 
-    def recording(finder):
-        def recorded(*args):
-            lam = finder(*args)
-            if lam > 0.0:
-                found.append(args)
-            return lam
-
-        return recorded
+    def recording(*args):
+        lam = original(*args)
+        if lam > 0.0:
+            found.append(args)
+        return lam
 
     with monkeypatch.context() as m:
-        for name in ("_smallest_root", "_grid_root"):
-            m.setattr(compat, name, recording(getattr(compat, name)))
+        m.setattr(compat, "_robustness_tuples", recording)
         run()
     return found
 
@@ -532,10 +532,10 @@ def test_false_position_halves_the_c_evaluations(monkeypatch, workload):
     new_total = old_total = 0
     for args in roots:
         calls[0] = 0
-        new = compat._smallest_root(*args)
+        new = general_root(*args)
         new_calls = calls[0]
         calls[0] = 0
-        assert new.hex() == _smallest_root(*args).hex()
+        assert new.hex() == old_root(*args).hex()
         # On these roots no finder call needs more evaluations than the
         # plain bisection; the worst case is bounded in the test below.
         assert new_calls <= calls[0]

@@ -59,6 +59,8 @@ def test_optimize_config_validation():
     # a negative seed fails here, not at the first random start
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         OptimizeConfig(T=1.0, seed=-1)
+    with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+        OptimizeConfig(T=1.0, max_iters=0)
     cfg = OptimizeConfig(T=2.8, m=20)
     assert cfg.dt == pytest.approx(0.14)
     # counts are never truncated: a fractional one raises and names its field
@@ -481,12 +483,19 @@ def test_amplitude_damping_goldens_keep_other_pairs_off_the_general_root(monkeyp
     # The general root finder serves the unbiased unit-identity pairs only;
     # amplitude damping's pairs, the zero pulse's sharp z effect 2e-16
     # outside the cone included, all take the grid root.
-    original = compat._smallest_root
+    original = compat._robustness_tuples
+    general = compat._smallest_root
+    unit_identity = []
 
-    def unit_identity_only(a0, va, b0, vb, d, p):
-        assert p == 0.5 and a0 == 1.0 and b0 == 1.0
-        return original(a0, va, b0, vb, d, p)
+    def recording(x1, x2, b):
+        unit_identity[:] = [0.5 * (1.0 + b) == 0.5 and x1[0] == 1.0 and x2[0] == 1.0]
+        return original(x1, x2, b)
 
+    def unit_identity_only(c_at, c_lo):
+        assert unit_identity == [True]
+        return general(c_at, c_lo)
+
+    monkeypatch.setattr(compat, "_robustness_tuples", recording)
     monkeypatch.setattr(compat, "_smallest_root", unit_identity_only)
     config = os.path.join(os.path.dirname(__file__), "data", f"{name}.config.json")
     assert cli.run(config, out=str(tmp_path / name)) == 0
@@ -602,6 +611,22 @@ def test_landscape_grid_rejects_non_finite_values(bad):
     # NaN passes every range comparison, so it needs its own check.
     with pytest.raises(ValueError, match="^landscape values must be finite$"):
         LandscapeGrid(0.0, 1.0, [0.0], [0.0, 0.0], [[0.1, bad]])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[0.1, 0.2]], r"^values shape \(1, 2\) does not match axes \(1, 3\)$"),
+        ([[0.1, 0.2, -1e-11]], r"^landscape values outside the monotone range \[0, 1/2\]$"),
+        ([[0.1, 0.5 + 1e-11, 0.2]], r"^landscape values outside the monotone range \[0, 1/2\]$"),
+    ],
+    ids=["shape", "below-zero", "above-half"],
+)
+def test_landscape_grid_rejects_a_wrong_shape_or_range(values, message):
+    # Rounding within 1e-12 of the range passes; the value 1/2 itself too.
+    LandscapeGrid(0.0, 1.0, [0.0], [0.0, 1.0, 2.0], [[-1e-13, 0.5, 0.5 + 1e-13]])
+    with pytest.raises(ValueError, match=message):
+        LandscapeGrid(0.0, 1.0, [0.0], [0.0, 1.0, 2.0], values)
 
 
 def test_time_sweep_rows():

@@ -200,6 +200,12 @@ def test_pulse_sequence_validation_and_zero():
         PulseSequence(-0.1, (1.0,))
     with pytest.raises(ValueError):
         PulseSequence(0.1, ())
+    for amplitudes in [(1.0, np.inf), (np.nan,)]:
+        with pytest.raises(ValueError, match="^pulse amplitudes must be finite$"):
+            PulseSequence(0.1, amplitudes)
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            PulseSequence.zero(m, 1.0)
     p = PulseSequence.zero(4, 2.0)
     assert p.m == 4
     assert p.dt == pytest.approx(0.5)
@@ -211,6 +217,12 @@ def test_pulse_sequence_validation_and_zero():
     with pytest.raises(ValueError, match="^m must be an integer, got 2.5$"):
         PulseSequence.zero(2.5, 1.0)
     assert PulseSequence.zero(2.0, 1.0) == PulseSequence.zero(2, 1.0)
+
+
+@pytest.mark.parametrize("h", [(0.0, np.nan, 1.0), (-np.inf, 0.0, 0.0)], ids=["nan", "-inf"])
+def test_non_finite_control_hamiltonians_are_rejected(h):
+    with pytest.raises(ValueError, match=r"^h must be a finite 3-vector"):
+        ControlHamiltonian(h)
 
 
 def test_zero_pulse_propagation_matches_closed_forms():

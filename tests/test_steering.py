@@ -1,6 +1,7 @@
 """The state resource map and the pulsed steering monotone."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    GROWING_DRIFT,
     PROPERTY_SETTINGS,
     SHARP_PAIR_VALUE,
     SQRT2,
@@ -21,6 +23,7 @@ from conftest import (
     effect_to_matrix,
     effects,
     is_unital,
+    oracle_value,
     oracle_value_and_gradient,
     pulses,
     random_cptp_heisenberg,
@@ -43,6 +46,7 @@ from steerctl import (
     SteeringScenario,
     UnsupportedStateError,
     bob_marginal,
+    landscape,
     propagate,
     propagate_with_jacobian,
     resource_map,
@@ -52,7 +56,7 @@ from steerctl import (
     steering_robustness,
     steering_value_and_gradient,
 )
-from steerctl import lindblad
+from steerctl import compat, lindblad
 from steerctl.qubit_algebra import PAULI_BASIS
 from test_compat import noisy_dc_dlam, noisy_norms
 
@@ -458,6 +462,66 @@ def test_non_cp_drift_is_reported_as_an_internal_inconsistency():
     )
     with pytest.raises(InternalConsistencyError):
         steering_robustness(grow, PulseSequence.zero(4, 1.0))
+
+
+OVERFLOW_RUNS = {
+    "robustness": lambda s: steering_robustness(s, PulseSequence(1.0, (0.0,) * 100)),
+    "gradient": lambda s: steering_value_and_gradient(s, PulseSequence(1.0, (0.0,) * 100)),
+    "landscape": lambda s: landscape(s, 50.0, 100.0, [0.0, 1.0], [0.0, 1.0]),
+    "robustness-m20": lambda s: steering_robustness(s, PulseSequence(1.0, (0.0,) * 20)),
+}
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("name", sorted(OVERFLOW_RUNS))
+def test_a_growing_drift_fails_typed_under_any_warning_filter(action, name):
+    # Over 100 unit slots, or a drift window of 50 and two slots of 25, the
+    # channel products overflow.  Where numpy's warnings are errors it
+    # raises its report from the product, which the evaluation translates;
+    # elsewhere it warns, and the NaN meets the finiteness check.  Over 20
+    # slots the channel is finite and an effect leaves the cone.
+    s = xz_scenario("ad")
+    grow = SteeringScenario(s.rho, s.x1, s.x2, DriftGenerator(GROWING_DRIFT), s.control)
+    error = InternalConsistencyError if name == "robustness-m20" else InvalidEffectError
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(error):
+            OVERFLOW_RUNS[name](grow)
+
+
+def test_gradient_falls_back_to_zero_at_sharp_roots_near_unit_bias(monkeypatch):
+    # Noiseless dynamics keeps the sharp x/z pair sharp, and a sharp effect
+    # under noise at weight lam and bias b has a Minkowski norm of about
+    # 2 lam (1 - lam)(1 - |b|) on one side.  At the root lam = 0.414 that
+    # falls below _UNSHARP_TOL once 1 - |b| < 2.06e-9, so the implicit
+    # gradient raises NotDifferentiableError and the evaluator returns a
+    # zero gradient with the value.  At 1 - |b| = 1e-6 it does not.
+    outcomes = []
+    real = compat._gradient_at_root
+
+    def recorded(*args):
+        try:
+            gradient = real(*args)
+        except NotDifferentiableError as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append("gradient")
+        return gradient
+
+    monkeypatch.setattr(compat, "_gradient_at_root", recorded)
+    s = xz_scenario("dp", gamma=0.0)
+    pulse = PulseSequence(0.1, (0.3, -0.2, 0.5))
+    cases = [(0.9999999999, NotDifferentiableError), (-0.9999999999, NotDifferentiableError)]
+    for b, outcome in cases + [(-0.999999, "gradient")]:
+        biased = SteeringScenario(s.rho, s.x1, s.x2, s.drift, s.control, b)
+        outcomes.clear()
+        value, grad = steering_value_and_gradient(biased, pulse)
+        assert outcomes == [outcome]
+        # Measured: 2.28e-15 from the 40-digit value at both ends, 1.5e-15 at -0.999999.
+        assert abs(value - float(oracle_value(biased, pulse))) <= 5e-15
+        if outcome is NotDifferentiableError:
+            assert value == 0.41421356231451867
+            assert not np.any(grad)
 
 
 def test_public_wrappers_build_one_evaluator_per_scenario(resource_map_calls):
