@@ -1,17 +1,20 @@
 """Pulse optimization of the steering robustness and related scans.
 
-The direct optimizer runs projected quasi-Newton ascent (L-BFGS-B on the
-negated cost, box bounds on the amplitudes) from many random starts plus the
-zero pulse, using the exact gradient throughout.  Each descent keeps 20
-correction pairs instead of scipy's default 10, which cuts the cost
-evaluations per start by about a sixth.  Each evaluation is one call of the
-cost: for the direct optimizer, one ScenarioEvaluator.pulse_value_and_gradient
-call gives the value and its gradient.  L-BFGS-B asks for the two
-separately, so the value call keeps the gradient and the gradient call at
-the same point takes it from there (_descend).  The naive baseline runs the
-same machinery but minimizes the Frobenius distance of the Schrodinger
-transfer matrix from the identity, then reports the steering robustness of
-the pulse it settled on.
+Both optimizers are one multi-start driver handed a cost: projected
+quasi-Newton descent (L-BFGS-B, box bounds on the amplitudes) from many
+random starts plus the zero pulse, with the cost's exact gradient
+throughout.  The direct optimizer's cost is the negated steering
+robustness, one ScenarioEvaluator.pulse_value_and_gradient call per
+evaluation; its random starts that end on the non-steerable plateau redraw
+a bounded number of times.  The naive baseline's cost is the Frobenius
+distance of the Schrodinger transfer matrix from the identity, and its
+starts never redraw.  Each descent keeps 20 correction pairs instead of
+scipy's default 10, which cuts the cost evaluations per start by about a
+sixth.  L-BFGS-B asks for the value and the gradient separately, so the
+value call keeps the gradient and the gradient call at the same point takes
+it from there (_descend).  One rule reports every start: the best start has
+the lowest cost, and each start's value is the steering robustness of the
+pulse it ends on.
 
 Every random choice is drawn from a generator seeded by (seed, start index),
 so results are deterministic and independent of execution order.  Starts may
@@ -19,7 +22,7 @@ run in parallel processes when the STEERCTL_THREADS environment variable is
 set above 1; the reduction over starts is order-independent, so parallel and
 serial runs return identical results.  Every start, landscape and sweep
 evaluates through the scenario's one ScenarioEvaluator: serial starts share
-it, and a process pool receives it pickled with the scenario.
+it, and the direct optimizer's pool workers receive it pickled with its cost.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .lindblad import PulseSequence, _count, _non_finite, _propagate_with_vjp, _slot_factors
-from .steering import SteeringScenario
+from .steering import ScenarioEvaluator, SteeringScenario
 
 #: Environment variable selecting the number of parallel start workers.
 THREADS_ENV = "STEERCTL_THREADS"
@@ -100,11 +103,13 @@ class OptimizeConfig:
 class OptimizeResult:
     """Best pulse over all starts, with per-start diagnostics.
 
-    start_values holds the final steering robustness of each start, the zero
-    start first.  For the direct optimizer best_value is their maximum; the
-    naive baseline instead picks the start with the smallest
-    distance-to-identity, so its best_value is the robustness of that
-    distinguished pulse.  The other per-start tuples follow the same order:
+    start_values holds the steering robustness of the pulse each start ends
+    on, the zero start first.  One rule serves both optimizers: the best
+    start is the first with the lowest cost, and best_value is its entry of
+    start_values.  For the direct optimizer, whose cost is the negated
+    robustness, that is their maximum; for the naive baseline it is the
+    robustness of the pulse with the smallest distance-to-identity.  The
+    other per-start tuples follow the same order:
     a start's iterations and evaluations (cost-and-gradient calls) sum over
     its L-BFGS-B descents, it runs 1 descent plus its plateau redraws, and
     its status is scipy's L-BFGS-B status of the descent it kept (0
@@ -280,58 +285,51 @@ def _identity_distance(
     return float(np.sum(diff * diff)), 2.0 * vjp(diff, eye)
 
 
-def _start_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _negated_value_and_gradient(
+    evaluator: ScenarioEvaluator, dt: float, amplitudes: Sequence[float]
+) -> tuple[float, np.ndarray]:
+    """The direct optimizer's cost: minus the steering robustness, and its gradient."""
+    value, grad = evaluator.pulse_value_and_gradient(dt, amplitudes)
+    return -value, -grad
 
 
 def _solve_one_start(
-    s: SteeringScenario, cfg: OptimizeConfig, kind: str, index: int
+    cost, redraws: int, cfg: OptimizeConfig, index: int
 ) -> tuple[np.ndarray, float, int, int, int, int]:
-    """One start of either optimizer.  index -1 is the zero-pulse start.
+    """Minimize cost from one start; index -1 is the zero-pulse start.
 
-    Returns (pulse, metric, iterations, evaluations, descents, status) with
-    metric the steering robustness for the direct optimizer and the
-    distance-to-identity for the naive one; the counts sum over descents,
-    and pulse, metric and status are the kept descent's.
+    A random start whose descent ends at cost 0 or above, the flat
+    non-steerable plateau of the direct cost, redraws within the box up to
+    redraws times and keeps its lowest descent.  Returns (pulse, cost,
+    iterations, evaluations, descents, status): the counts sum over
+    descents, and pulse, cost and status are the kept descent's.
     """
-    evaluator = s._evaluator
-    dt = cfg.dt
     lo, hi = cfg.amp_bounds
-    if kind == "steer":
-        def fun_and_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-            value, grad = evaluator.pulse_value_and_gradient(dt, c)
-            return -value, -grad
-    else:
-        l0 = evaluator.drift_generator
-        k = evaluator.control_generator
-
-        def fun_and_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-            return _identity_distance(l0, k, dt, c)
-
-    rng = None if index < 0 else _start_rng(cfg.seed, index)
-    # The plateau value 0 has zero gradient; a random steering start redraws
-    # within the box a bounded number of times before accepting a flat start.
-    redraws = _FLAT_RESTARTS if kind == "steer" and rng is not None else 0
+    rng = None if index < 0 else np.random.default_rng([cfg.seed, index])
     iterations = evaluations = 0
-    for tries in range(redraws + 1):
+    for tries in range((0 if rng is None else redraws) + 1):
         x0 = np.zeros(cfg.m) if rng is None else rng.uniform(lo, hi, cfg.m)
-        run = _descend(fun_and_grad, x0, cfg.amp_bounds, cfg.max_iters)
+        run = _descend(cost, x0, cfg.amp_bounds, cfg.max_iters)
         iterations += run.iterations
         evaluations += run.evaluations
         if tries == 0 or run.value < best.value:
             best = run
         if best.value < 0.0:
             break
-    metric = -best.value if kind == "steer" else best.value
-    return best.x, metric, iterations, evaluations, tries + 1, best.status
+    return best.x, best.value, iterations, evaluations, tries + 1, best.status
 
 
-def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> OptimizeResult:
+def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, cost, redraws: int) -> OptimizeResult:
+    """Minimize cost from the zero pulse and cfg.n_starts random starts.
+
+    The best start is the first with the lowest cost, and every start's
+    value is the steering robustness of the pulse it ends on.
+    """
     evaluator = s._evaluator
     dt = cfg.dt
     baseline = evaluator.pulse_value(dt, (0.0,) * cfg.m)
     indices = [-1] + list(range(cfg.n_starts))
-    solve = partial(_solve_one_start, s, cfg, kind)
+    solve = partial(_solve_one_start, cost, redraws, cfg)
     workers = _worker_count()
     if workers > 1:
         # Imported on first use, like scipy.optimize in _descend: the pool
@@ -342,13 +340,9 @@ def _multi_start(s: SteeringScenario, cfg: OptimizeConfig, kind: str) -> Optimiz
             outcomes = list(pool.map(solve, indices))
     else:
         outcomes = list(map(solve, indices))
-    pulses, metrics, iterations, evaluations, descents, status = zip(*outcomes)
-    if kind == "steer":
-        start_values = metrics
-        best_index = int(np.argmax(metrics))
-    else:
-        start_values = tuple(evaluator.pulse_value(dt, x) for x in pulses)
-        best_index = int(np.argmin(metrics))
+    pulses, costs, iterations, evaluations, descents, status = zip(*outcomes)
+    start_values = tuple(evaluator.pulse_value(dt, x) for x in pulses)
+    best_index = int(np.argmin(costs))
     return OptimizeResult(
         best_pulse=PulseSequence(dt, tuple(float(c) for c in pulses[best_index])),
         best_value=float(start_values[best_index]),
@@ -368,7 +362,8 @@ def optimize(s: SteeringScenario, cfg: OptimizeConfig) -> OptimizeResult:
     deterministic given (scenario, cfg).  Starts on the non-steerable
     plateau report 0 after a bounded number of random restarts.
     """
-    return _multi_start(s, cfg, "steer")
+    cost = partial(_negated_value_and_gradient, s._evaluator, cfg.dt)
+    return _multi_start(s, cfg, cost, _FLAT_RESTARTS)
 
 
 def naive_optimize(s: SteeringScenario, cfg: OptimizeConfig) -> OptimizeResult:
@@ -377,7 +372,9 @@ def naive_optimize(s: SteeringScenario, cfg: OptimizeConfig) -> OptimizeResult:
     Same start set as optimize; best_value is the steering robustness of
     the pulse with the smallest Frobenius distance to the identity.
     """
-    return _multi_start(s, cfg, "naive")
+    ev = s._evaluator
+    cost = partial(_identity_distance, ev.drift_generator, ev.control_generator, cfg.dt)
+    return _multi_start(s, cfg, cost, 0)
 
 
 def _drift_window(t_drift: float, T: float) -> tuple[float, float]:

@@ -90,8 +90,8 @@ class DriftGenerator:
     positivity is not checked: a generator that is not completely positive
     can make a transported effect invalid, which ScenarioEvaluator reports
     as InternalConsistencyError, or a channel product overflow, which every
-    robustness evaluation reports as InvalidEffectError under any warning
-    filter.
+    robustness evaluation and every public propagator reports as
+    InvalidEffectError under any warning filter.
     """
 
     matrix: TransferMatrix
@@ -483,6 +483,17 @@ def _propagate_with_vjp(
     return prefixes[-1], vjp
 
 
+def _finite(matrices: np.ndarray) -> np.ndarray:
+    """matrices, checked for non-finite entries, which a growing drift can give.
+
+    Raises:
+        InvalidEffectError: if an entry is not finite, under any warning filter.
+    """
+    if not np.isfinite(matrices).all():
+        raise InvalidEffectError("a transfer matrix has a non-finite entry")
+    return matrices
+
+
 def propagate(
     g: DriftGenerator, h: ControlHamiltonian, p: PulseSequence
 ) -> TransferMatrix:
@@ -492,8 +503,12 @@ def propagate(
     first on the effect, which is the reverse of the Schrodinger order.  The
     matrix is the last prefix of the slot scan, so it is bit for bit the
     transfer matrix of propagate_with_jacobian.
+
+    Raises:
+        InvalidEffectError: if the matrix is not finite, as the products of
+            a drift that is not completely positive can make it.
     """
-    return _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)[0][-1]
+    return _finite(_slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)[0][-1])
 
 
 def propagate_schrodinger(
@@ -514,6 +529,11 @@ def propagate_with_jacobian(
 
     The transfer matrix is the last prefix of the slot scan, bit for bit
     the channel of propagate and of both ScenarioEvaluator pulse methods.
+
+    Raises:
+        InvalidEffectError: if the matrix or a derivative is not finite; a
+            non-finite matrix raises before any derivative is formed.
     """
     prefixes, frechet, suffixes = _slot_scans(g.matrix, control_matrix(h), p.dt, p.amplitudes)
-    return prefixes[-1], list(prefixes[:-1] @ frechet @ suffixes)
+    total = _finite(prefixes[-1])
+    return total, list(_finite(prefixes[:-1] @ frechet @ suffixes))

@@ -91,8 +91,8 @@ class SteeringScenario:
 
     A scenario owns one ScenarioEvaluator, built on construction: the
     module wrappers, every optimizer start, landscape and sweep evaluate
-    through it, serial starts share it, and pool workers receive it pickled
-    with the scenario.
+    through it, serial starts share it, and the direct optimizer's pool
+    workers receive it pickled with its cost.
     """
 
     rho: BipartiteState

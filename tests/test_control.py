@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -153,19 +154,15 @@ def test_one_iteration_cap_gives_status_one(runner):
 
 
 def _steering_cost(s, dt):
-    """The direct optimizer's cost: the negated robustness and its gradient."""
-
-    def fun_and_grad(c):
-        value, grad = s._evaluator.pulse_value_and_gradient(dt, c)
-        return -value, -grad
-
-    return fun_and_grad
+    """The cost optimize hands each start: the negated robustness and its gradient."""
+    return partial(control._negated_value_and_gradient, s._evaluator, dt)
 
 
 def _naive_cost(s, dt):
+    """The cost naive_optimize hands each start."""
     evaluator = s._evaluator
-    return lambda c: control._identity_distance(
-        evaluator.drift_generator, evaluator.control_generator, dt, c
+    return partial(
+        control._identity_distance, evaluator.drift_generator, evaluator.control_generator, dt
     )
 
 
@@ -270,11 +267,12 @@ def test_optimizer_is_deterministic():
     assert shifted.start_values != first.start_values
 
 
-def test_parallel_starts_match_serial(monkeypatch):
+@pytest.mark.parametrize("runner", [optimize, naive_optimize])
+def test_parallel_starts_match_serial(monkeypatch, runner):
     s = xz_scenario("ad")
-    serial = optimize(s, SMALL)
+    serial = runner(s, SMALL)
     monkeypatch.setenv("STEERCTL_THREADS", "2")
-    parallel = optimize(s, SMALL)
+    parallel = runner(s, SMALL)
     assert parallel.best_value == serial.best_value
     assert parallel.best_pulse.amplitudes == serial.best_pulse.amplitudes
     assert parallel.start_values == serial.start_values
@@ -367,9 +365,8 @@ def test_naive_optimize_contracts():
     s = xz_scenario("ad")
     res = naive_optimize(s, SMALL)
     assert len(res.start_values) == SMALL.n_starts + 1
-    # the reported value belongs to the reported pulse
-    replay = steering_robustness(s, res.best_pulse)
-    assert replay == pytest.approx(res.best_value, abs=1e-12)
+    # the reported value belongs to the reported pulse, bit for bit
+    assert steering_robustness(s, res.best_pulse) == res.best_value
     zero = steering_robustness(s, PulseSequence.zero(SMALL.m, SMALL.T))
     assert res.baseline_value == pytest.approx(zero, abs=0.0)
 
