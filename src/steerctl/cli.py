@@ -4,9 +4,9 @@
 
 Commands: check, robustness, evolve, optimize, naive, landscape, sweep.
 The JSON config is validated against CONFIG_SCHEMA (unknown keys rejected)
-before anything runs.  The check is done here, for the JSON Schema keywords
-the schema uses; jsonschema is imported only to word a violation, so a valid
-run never loads it.  Tabular commands (landscape, sweep) write CSV with
+before anything runs, by one walk here over the JSON Schema keywords the
+schema uses, which names the first violation; the runtime needs no
+jsonschema.  Tabular commands (landscape, sweep) write CSV with
 fixed headers; the others write a JSON summary; every command prints its
 headline number to stdout.  Floats in CSV files carry 17 significant digits
 and outputs are byte-identical across reruns of the same config.
@@ -171,39 +171,69 @@ def _has_type(value: Any, name: str) -> bool:
     return isinstance(value, _JSON_TYPES[name])
 
 
-def _conforms(value: Any, schema: dict[str, Any]) -> bool:
-    """Whether value is valid under schema, as JSON Schema 2020-12 has it.
+#: The least int that float() rounds to inf: a JSON integer literal loads as
+#: a Python int of any size, and one this large cannot become a float.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
-    Only the keywords CONFIG_SCHEMA uses are read, and const and enum
-    entries must be strings; the tests hold the schema to both and this
-    check to jsonschema's verdict.
+
+def _violation(value: Any, schema: dict[str, Any], path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first place where value breaks schema, and why; None if it is valid.
+
+    The verdict is JSON Schema 2020-12's, as jsonschema gives it, for the
+    keywords CONFIG_SCHEMA uses, with const and enum entries strings; the
+    tests hold the schema to both and this walk to jsonschema's verdict.  One
+    rule is added: a "number" must fit a float.  Where no alternative of a
+    oneOf holds, the fault is the one inside the alternative whose "kind"
+    accepts the value's, if exactly one does, and the oneOf's otherwise.
     """
     if "type" in schema and not _has_type(value, schema["type"]):
-        return False
+        return path, f"expected {schema['type']}"
+    if schema.get("type") == "number" and abs(value) >= _FLOAT_LIMIT:
+        return path, "too large for a float"
     if "const" in schema and value != schema["const"]:
-        return False
+        return path, f"expected {schema['const']!r}"
     if "enum" in schema and value not in schema["enum"]:
-        return False
-    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
-        return False
+        return path, f"expected one of {schema['enum']}"
+    if "oneOf" in schema:
+        faults = [_violation(value, option, path) for option in schema["oneOf"]]
+        if faults.count(None) > 1:
+            return path, "matches more than one alternative"
+        if None not in faults:
+            kind = value.get("kind") if isinstance(value, dict) else None
+            tagged = [
+                fault
+                for option, fault in zip(schema["oneOf"], faults)
+                if "kind" in option.get("properties", {})
+                and _violation(kind, option["properties"]["kind"]) is None
+            ]
+            return tagged[0] if len(tagged) == 1 else (path, "matches none of the alternatives")
+    if _has_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"must be >= {schema['minimum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, f"must be > {schema['exclusiveMinimum']}"
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            return path, f"must be < {schema['exclusiveMaximum']}"
+    children = []
     if isinstance(value, dict):
         properties = schema.get("properties", {})
-        if not all(key in value for key in schema.get("required", ())):
-            return False
-        if schema.get("additionalProperties") is False and not value.keys() <= properties.keys():
-            return False
-        return all(_conforms(v, properties[k]) for k, v in value.items() if k in properties)
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"missing required key {key!r}"
+        unknown = [key for key in value if key not in properties]
+        if schema.get("additionalProperties") is False and unknown:
+            return path, f"unexpected key {unknown[0]!r}"
+        children = [(key, v, properties[key]) for key, v in value.items() if key in properties]
     if isinstance(value, list):
-        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
-            return False
-        return all(_conforms(item, schema.get("items", {})) for item in value)
-    if _has_type(value, "number"):
-        return not (
-            "minimum" in schema and value < schema["minimum"]
-            or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
-            or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]
-        )
-    return True
+        if len(value) < schema.get("minItems", 0):
+            return path, f"fewer than {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"more than {schema['maxItems']} items"
+        children = [(index, v, schema.get("items", {})) for index, v in enumerate(value)]
+    for key, v, subschema in children:
+        if fault := _violation(v, subschema, (*path, key)):
+            return fault
+    return None
 
 
 @dataclass
@@ -285,44 +315,12 @@ def _parse_axis(block: dict[str, Any], path: str) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-#: Config fields the schema types as integers; they stay Python ints.  Every
-#: other number becomes a float (or a complex) when the run is built.
-_INTEGER_FIELDS = frozenset(
-    ("optimize", name)
-    for name, spec in CONFIG_SCHEMA["properties"]["optimize"]["properties"].items()
-    if spec.get("type") == "integer"
-)
-
-
-def _check_float_range(node: Any, path: tuple[str, ...] = ()) -> None:
-    """Raise ValueError naming the first number field too large for a float.
-
-    JSON integer literals load as Python ints of any size, and float() of
-    one beyond the double range raises OverflowError instead.
-    """
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if path + (key,) not in _INTEGER_FIELDS:
-                _check_float_range(value, path + (key,))
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            _check_float_range(value, path + (str(index),))
-    elif isinstance(node, int) and not isinstance(node, bool):
-        try:
-            float(node)
-        except OverflowError:
-            raise ValueError(
-                f"number at {'/'.join(path)} is too large for a float"
-            ) from None
-
-
 def _build_run_config(
     raw: dict[str, Any],
     command: str,
     out_override: str | None,
     seed_override: int | None,
 ) -> RunConfig:
-    _check_float_range(raw)
     configured = raw.get("command")
     if configured is not None and configured != command:
         raise ValueError(
@@ -534,17 +532,10 @@ def run(
         # RecursionError, nesting deeper than the interpreter's recursion limit.
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if not _conforms(raw, CONFIG_SCHEMA):
-        # Only a violation loads jsonschema, to word it: best_match picks
-        # the error jsonschema.validate would raise.
-        from jsonschema import Draft202012Validator
-        from jsonschema.exceptions import best_match
-
-        error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
-        if error is None:
-            raise RuntimeError("the config check rejects a config that jsonschema accepts")
-        location = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        print(f"error: config schema violation at {location}: {error.message}", file=sys.stderr)
+    fault = _violation(raw, CONFIG_SCHEMA)
+    if fault:
+        location = "/".join(map(str, fault[0])) or "<root>"
+        print(f"error: config schema violation at {location}: {fault[1]}", file=sys.stderr)
         return 2
     if command is None:
         command = raw.get("command")

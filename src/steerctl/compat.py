@@ -85,6 +85,12 @@ COMPAT_TOL = 1e-12
 #: weight.  The returned root is the midpoint of a bracket at most
 #: _BISECT_WIDTH wide, two orders tighter, across a sign change of C that was
 #: evaluated, so finite differences of the robustness stay flat-noise free.
+#: The guarantee fails where C is flat in the weight: a pair with
+#: -COMPAT_TOL <= C < 0 at weight 0 reads as compatible, so a root up to
+#: about COMPAT_TOL/|dC/dlam| is missed.  Unit-identity pairs a small angle
+#: theta apart are such pairs on both routes: unbiased, errors of 1.2e-10 at
+#: theta = 1e-3 and 1.4e-7 at 1e-6; under bias 0.3, on the grid-root route,
+#: a result of 0 where the root is 1e-12 to 1e-7, at theta = 1e-1 to 1e-6.
 ROOT_TOL = 1e-12
 
 _BISECT_WIDTH = 1e-14
@@ -333,7 +339,11 @@ def robustness(x1: FourVector, x2: FourVector, b: float = 0.0) -> float:
     """Incompatibility robustness of a valid effect pair under bias-b noise.
 
     Returns 0 for jointly measurable pairs, otherwise the smallest noise
-    weight in (0, 1/2] restoring compatibility, located to 1e-12.
+    weight in (0, 1/2] restoring compatibility, located to 1e-12
+    (ROOT_TOL).  Where C is flat in the noise weight the error can be
+    larger, up to about COMPAT_TOL/|dC/dlam|: a pair with -COMPAT_TOL <= C
+    < 0 at weight 0 returns 0.  Unit-identity pairs with nearly parallel
+    Bloch vectors are such pairs, biased or not (see ROOT_TOL).
 
     Raises:
         InvalidEffectError: if either input is not a valid effect.

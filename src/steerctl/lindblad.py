@@ -290,9 +290,11 @@ class _SlotTables:
 
     def __init__(self, l0: np.ndarray, k: np.ndarray, dt: float):
         self._l0, self._k, self._dt = l0, k, dt
-        f, e = math.frexp(np.abs(dt * k).sum(axis=0).max())
+        with np.errstate(over="ignore"):
+            f, e = math.frexp(np.abs(dt * k).sum(axis=0).max())
         # ||dt*K||_1 = f * 2**e with f in [1/2, 1) and rho a power of two, so
-        # the largest h is exact.  A zero control's u is 0 at every amplitude.
+        # the largest h is exact.  A zero control's u is 0 at every amplitude;
+        # an overflowing norm reads inf, and its centers' tables are NaN.
         self._shift = e - math.frexp(_RHO)[1] - (f == 0.5) if f else -2100
         # Beyond this amplitude u would overflow; its center is NaN anyway.
         self._bound = math.ldexp(1.0, 1023 - self._shift) if self._shift > 0 else math.inf

@@ -4,6 +4,9 @@ import copy
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields
@@ -25,6 +28,7 @@ from steerctl import (
     SteeringScenario,
     cli,
     landscape,
+    lindblad,
     sharp_effect,
     steering_robustness,
     time_sweep,
@@ -399,6 +403,9 @@ def test_malformed_json_is_a_usage_error(tmp_path):
 INF, NAN = float("inf"), float("nan")
 
 
+UNIT_AXIS = {"min": 0.0, "max": 1.0, "step": 1.0}
+
+
 def landscape_block(c1_max=1.0, step=1.0, horizon=2.8):
     return {
         "t_drift": 2.6,
@@ -498,7 +505,7 @@ def test_integer_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, field)
     command, payload = OVERFLOWING_CONFIGS[field]
     assert run_cli(command, write_config(tmp_path, payload), tmp_path / "r") == 2
     err = capsys.readouterr().err
-    assert "invalid configuration" in err and field in err and "too large for a float" in err
+    assert err == f"error: config schema violation at {field}: too large for a float\n"
 
 
 def test_integer_fields_keep_values_beyond_the_double_range(tmp_path):
@@ -632,10 +639,12 @@ def test_every_schema_object_is_strict():
         assert set(node["required"]) <= set(node["properties"])
 
 
-#: Invalid configs, each with the location its schema violation names.
+#: Invalid configs, each with the location and the reason its schema
+#: violation names.  Where no alternative of a tagged section holds, the
+#: fault is the one inside the alternative of the config's kind.
 SCHEMA_VIOLATIONS = {
     "unknown-drift-key": (
-        "scenario/drift/kind",
+        "scenario/drift: unexpected key 'rate'",
         {
             "scenario": {
                 "measurements": XZ_MEASUREMENTS,
@@ -644,21 +653,27 @@ SCHEMA_VIOLATIONS = {
         },
     ),
     "custom-drift-without-matrix": (
-        "scenario/drift/kind",
+        "scenario/drift: missing required key 'matrix'",
         {"scenario": {"measurements": XZ_MEASUREMENTS, "drift": {"kind": "custom"}}},
     ),
-    "missing-measurements": ("scenario", {"scenario": {"state": {"kind": "max_entangled"}}}),
-    "bias-one": ("scenario/bias", {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1}}),
+    "missing-measurements": (
+        "scenario: missing required key 'measurements'",
+        {"scenario": {"state": {"kind": "max_entangled"}}},
+    ),
+    "bias-one": (
+        "scenario/bias: must be < 1",
+        {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1}},
+    ),
     "fractional-m": (
-        "optimize/m",
+        "optimize/m: expected integer",
         {"scenario": {"measurements": XZ_MEASUREMENTS}, "optimize": {"T": 1.0, "m": 1.5}},
     ),
     "unknown-top-level-key": (
-        "<root>",
+        "<root>: unexpected key 'extra'",
         {"scenario": {"measurements": XZ_MEASUREMENTS}, "extra": 1},
     ),
     "bool-gamma": (
-        "scenario/drift/gamma",
+        "scenario/drift/gamma: expected number",
         {
             "scenario": {
                 "measurements": XZ_MEASUREMENTS,
@@ -667,26 +682,26 @@ SCHEMA_VIOLATIONS = {
         },
     ),
     "bias-one-float": (
-        "scenario/bias",
+        "scenario/bias: must be < 1",
         {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1.0}},
     ),
     "bias-minus-one": (
-        "scenario/bias",
+        "scenario/bias: must be > -1",
         {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": -1}},
     ),
     "zero-step": (
-        "landscape/c1/step",
+        "landscape/c1/step: must be > 0",
         {
             "scenario": {"measurements": XZ_MEASUREMENTS},
             "landscape": {**landscape_block(), "c1": {"min": -1.0, "max": 1.0, "step": 0}},
         },
     ),
     "short-axis": (
-        "scenario/measurements/axes/0",
+        "scenario/measurements/axes/0: fewer than 3 items",
         {"scenario": {"measurements": {**XZ_MEASUREMENTS, "axes": [[1.0, 0.0], [0.0, 0.0, 1.0]]}}},
     ),
     "no-state-alternative": (
-        "scenario/state",
+        "scenario/state: matches none of the alternatives",
         {"scenario": {"measurements": XZ_MEASUREMENTS, "state": {"kind": "ghz"}}},
     ),
 }
@@ -694,19 +709,47 @@ SCHEMA_VIOLATIONS = {
 
 @pytest.mark.parametrize("name", sorted(SCHEMA_VIOLATIONS))
 def test_schema_violation_reports_what_jsonschema_validate_raises(tmp_path, capsys, name):
-    location, payload = SCHEMA_VIOLATIONS[name]
+    # The CLI words the fault itself, at a location where the error that
+    # jsonschema.validate raises, or one of its alternatives' errors, has one.
+    violation, payload = SCHEMA_VIOLATIONS[name]
     with pytest.raises(jsonschema.ValidationError) as info:
         jsonschema.validate(payload, CONFIG_SCHEMA)
-    path = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
-    assert path == location
+    top = info.value
+    while top.parent is not None:
+        top = top.parent
+    locations = {
+        "/".join(map(str, error.absolute_path)) or "<root>"
+        for error in [top, *top.context]
+    }
+    assert violation.split(": ")[0] in locations
     assert run_cli("check", write_config(tmp_path, payload), tmp_path / "r") == 2
-    err = capsys.readouterr().err
-    assert err == f"error: config schema violation at {location}: {info.value.message}\n"
+    assert capsys.readouterr().err == f"error: config schema violation at {violation}\n"
+
+
+def test_a_violation_is_reported_where_jsonschema_cannot_be_imported(tmp_path):
+    # The runtime needs no jsonschema: a process that cannot import it runs
+    # a valid config and names a violation.
+    src = Path(cli.__file__).parents[1]
+    valid = write_config(tmp_path, {"scenario": {"measurements": XZ_MEASUREMENTS}}, "valid.json")
+    invalid = write_config(
+        tmp_path, {"scenario": {"measurements": XZ_MEASUREMENTS, "bias": 1}}, "invalid.json"
+    )
+    out_prefix = str(tmp_path / "r")
+    probe = (
+        "import sys; sys.modules['jsonschema'] = None; from steerctl import cli; "
+        f"print(cli.run({valid!r}, 'check', {out_prefix!r}), cli.run({invalid!r}, 'check'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 2"
+    assert out.stderr == "error: config schema violation at scenario/bias: must be < 1\n"
 
 
 # --- The in-repo config check against jsonschema ------------------------------
 
-#: The JSON Schema keywords cli._conforms implements.
+#: The JSON Schema keywords cli._violation implements.
 CHECKED_KEYWORDS = {
     "type",
     "properties",
@@ -890,6 +933,10 @@ EDITS = {
 }
 
 
+def conforms(value, schema):
+    return cli._violation(value, schema) is None
+
+
 def agree_on_mutated_configs(check):
     @settings(**{**PROPERTY_SETTINGS, "max_examples": 600})
     @given(mutated_configs())
@@ -936,19 +983,19 @@ def test_valid_configs_are_valid():
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_PROPERTIES))
 def test_config_check_agrees_with_jsonschema(name):
-    AGREEMENT_PROPERTIES[name](cli._conforms)
+    AGREEMENT_PROPERTIES[name](conforms)
 
 
 def mutated_check(function, old, new):
-    """cli._conforms with the text old in function's source replaced by new."""
+    """conforms over cli._violation with the text old in function's source replaced by new."""
     namespace = dict(vars(cli))
-    for name in ("_has_type", "_conforms"):
+    for name in ("_has_type", "_violation"):
         source = inspect.getsource(getattr(cli, name))
         if name == function:
             assert source.count(old) == 1
             source = source.replace(old, new)
         exec(source, namespace)
-    return namespace["_conforms"]
+    return lambda value, schema: namespace["_violation"](value, schema) is None
 
 
 #: Plausible slips in the check, each with the property that must catch it.
@@ -959,9 +1006,14 @@ MUTANTS = {
         'if isinstance(value, bool) and name != "number":',
         "mutated-configs",
     ),
-    "oneOf-as-anyOf": ("_conforms", "!= 1", "< 1", "overlapping-alternatives"),
+    "oneOf-as-anyOf": (
+        "_violation",
+        "count(None) > 1",
+        "count(None) > len(faults)",
+        "overlapping-alternatives",
+    ),
     "exclusiveMinimum-as-minimum": (
-        "_conforms",
+        "_violation",
         'value <= schema["exclusiveMinimum"]',
         'value < schema["exclusiveMinimum"]',
         "mutated-configs",
@@ -972,8 +1024,9 @@ MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_a_slip_in_the_config_check_fails_the_agreement(mutant):
     function, old, new, prop = MUTANTS[mutant]
+    check = mutated_check(function, old, new)
     with pytest.raises(AssertionError):
-        AGREEMENT_PROPERTIES[prop](mutated_check(function, old, new))
+        AGREEMENT_PROPERTIES[prop](check)
 
 
 def test_missing_required_section_is_a_usage_error(tmp_path):
@@ -1016,25 +1069,50 @@ def test_huge_amplitude_exits_three(tmp_path, command, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+#: A drift that is not completely positive overflows the channel products of
+#: a 100-slot pulse and of a landscape with a drift window of 50.
+GROWING = {
+    "scenario": {**AD_SCENARIO, "drift": {"kind": "custom", "matrix": GROWING_DRIFT}},
+    "pulse": {"dt": 1.0, "amplitudes": [0.0] * 100},
+    "landscape": {"t_drift": 50.0, "T": 100.0, "c1": UNIT_AXIS, "c2": UNIT_AXIS},
+}
+
+#: A slot of length 1e308 overflows ||dt*K||_1 when its tables are sized.
+HUGE_SLOT = {
+    "scenario": AD_SCENARIO,
+    "pulse": {"dt": 1e308, "amplitudes": [1e308]},
+    "optimize": {"T": 1e308, "m": 1},
+    "landscape": {"t_drift": 0.0, "T": 1e308, "c1": UNIT_AXIS, "c2": UNIT_AXIS},
+    "sweep": {"t_grid": [1e308]},
+}
+
+#: Runs that overflow, each with its command and config.  The huge slot
+#: fails quietly; the growing drift's channel products still warn under the
+#: default filter before the typed error.
+OVERFLOWING_RUNS = {
+    **{command: (command, GROWING) for command in ("robustness", "evolve", "landscape")},
+    **{
+        f"{command}-huge-slot": (command, HUGE_SLOT)
+        for command in ("robustness", "evolve", "optimize", "naive", "sweep", "landscape")
+    },
+}
+
+
 @pytest.mark.parametrize("action", ["error", "default"])
-@pytest.mark.parametrize("command", ["robustness", "evolve", "landscape"])
-def test_growing_drift_exits_three_under_any_warning_filter(tmp_path, capsys, command, action):
-    # A drift that is not completely positive overflows the channel products
-    # of a 100-slot pulse and of a landscape with a drift window of 50.
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RUNS))
+def test_growing_drift_exits_three_under_any_warning_filter(tmp_path, capsys, name, action):
     # Where numpy's warnings are errors, its report becomes the typed error;
     # elsewhere the NaN it leaves does.
-    scenario = {**AD_SCENARIO, "drift": {"kind": "custom", "matrix": GROWING_DRIFT}}
-    axis = {"min": 0.0, "max": 1.0, "step": 1.0}
-    payload = {
-        "scenario": scenario,
-        "pulse": {"dt": 1.0, "amplitudes": [0.0] * 100},
-        "landscape": {"t_drift": 50.0, "T": 100.0, "c1": axis, "c2": axis},
-    }
+    command, payload = OVERFLOWING_RUNS[name]
     config = write_config(tmp_path, payload)
-    with warnings.catch_warnings(record=True):
+    # Each run sizes its slot tables afresh, as a new process would.
+    lindblad._slot_tables.cache_clear()
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action, RuntimeWarning)
         assert cli.run(config, command, out=str(tmp_path / "r")) == 3
     assert "non-finite" in capsys.readouterr().err
+    if payload is HUGE_SLOT:
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 #: Pure state (|00> + i|11>)/sqrt(2), whose coherences are imaginary, and

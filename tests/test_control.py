@@ -668,8 +668,9 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
     # Only the optimizers need scipy.optimize (about 50 MB resident), so
     # check, robustness, evolve and landscape runs never load it; only
     # parallel starts need the process pool (about 1.6 MB).  jsonschema
-    # (about 3.5 MB) only words a schema violation, so a valid run never
-    # loads it either.  A fresh process: the test modules import jsonschema.
+    # (about 3.5 MB) is no runtime dependency, since the CLI checks and
+    # words a config itself, so no run loads it.  A fresh process: the test
+    # modules import jsonschema.
     src = os.path.dirname(os.path.dirname(os.path.abspath(control.__file__)))
     config = tmp_path / "check.json"
     axes = {"kind": "bloch_axes", "axes": [[1, 0, 0], [0, 0, 1]]}
